@@ -16,12 +16,14 @@ so an extension below threshold is dropped with its whole subtree.
 
 Utilities are exact ints and the threshold an exact rational, so accept
 (utility >= threshold) and prune (bound < threshold) comparisons carry no
-rounding.
+rounding.  Because utilities are ints, both compare against the integer
+ceiling of the threshold, computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -43,6 +45,11 @@ class Threshold:
 
     xi: Fraction
     min_utility: Fraction
+    # For an int u, u >= min_utility exactly when u >= ceil(min_utility).
+    least_admitted: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "least_admitted", math.ceil(self.min_utility))
 
     @classmethod
     def from_text(cls, xi_text: str, total_utility: int) -> "Threshold":
@@ -55,10 +62,10 @@ class Threshold:
         return cls(xi, xi * total_utility)
 
     def admits(self, utility: int) -> bool:
-        return utility >= self.min_utility
+        return utility >= self.least_admitted
 
     def rejects(self, bound: int) -> bool:
-        return bound < self.min_utility
+        return bound < self.least_admitted
 
 
 def swu_per_item(db: QSequenceDatabase, eut: ExternalUtilityTable) -> dict[Item, int]:

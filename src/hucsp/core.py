@@ -17,6 +17,9 @@ All utilities are Python ints, so arithmetic is exact at any magnitude.
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -110,6 +113,42 @@ class ExternalUtilityTable:
         if not 0 <= item < len(self.weights):
             raise AbsentItemError(f"item {item} has no external utility")
         return self.weights[item]
+
+
+# The collector's on/off switch is process-wide, so the pause count is too.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_resume_collector = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the duration of the block.
+
+    Parsing and mining allocate millions of small objects that hold no
+    reference cycles; every collection the allocations trigger re-traverses
+    all of them and frees nothing.  Reference counting still frees memory as
+    usual.  Pauses nest and may overlap across threads: the first to enter
+    records whether the collector was enabled and disables it, the last to
+    leave restores that state, also when the block raises.
+
+    Use it as a decorator where the function's temporaries are large: its
+    frame is gone before the collector resumes, so the collection the resume
+    triggers does not traverse them.
+    """
+    global _pause_depth, _resume_collector
+    with _pause_lock:
+        if _pause_depth == 0:
+            _resume_collector = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _resume_collector:
+                gc.enable()
 
 
 def item_utility(item: Item, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:

@@ -31,6 +31,7 @@ from .core import (
     QSequenceDatabase,
     ResultSet,
     Segment,
+    collector_paused,
 )
 
 _TOKEN = re.compile(r"\S+")
@@ -72,6 +73,7 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
     return tuple(names), ExternalUtilityTable(tuple(weights))
 
 
+@collector_paused()
 def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, ExternalUtilityTable]:
     """Parse a database file against its external-utility file."""
     names, eut = parse_utility_table(eut_text)
@@ -212,23 +214,24 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
         if weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
     for seq in db.sequences:
-        for pos, itemset in sorted(seq.by_position.items()):
-            if not itemset:
-                problems.append(f"sequence {seq.sid}, position {pos}: empty itemset")
-            last = -1
-            for qitem in itemset:
-                if qitem.item <= last:
-                    problems.append(
-                        f"sequence {seq.sid}, position {pos}: items not strictly ascending"
-                    )
-                last = qitem.item
-                if qitem.quantity < 1:
-                    problems.append(
-                        f"sequence {seq.sid}, position {pos}: quantity must be >= 1"
-                    )
-                if qitem.item < 0 or qitem.item >= len(eut.weights):
-                    problems.append(
-                        f"sequence {seq.sid}, position {pos}: "
-                        f"missing external utility for item {qitem.item}"
-                    )
+        for seg in seq.segments:
+            for pos, itemset in enumerate(seg.itemsets, start=seg.start):
+                if not itemset:
+                    problems.append(f"sequence {seq.sid}, position {pos}: empty itemset")
+                last = -1
+                for qitem in itemset:
+                    if qitem.item <= last:
+                        problems.append(
+                            f"sequence {seq.sid}, position {pos}: items not strictly ascending"
+                        )
+                    last = qitem.item
+                    if qitem.quantity < 1:
+                        problems.append(
+                            f"sequence {seq.sid}, position {pos}: quantity must be >= 1"
+                        )
+                    if qitem.item < 0 or qitem.item >= len(eut.weights):
+                        problems.append(
+                            f"sequence {seq.sid}, position {pos}: "
+                            f"missing external utility for item {qitem.item}"
+                        )
     return problems

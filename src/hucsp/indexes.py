@@ -14,16 +14,16 @@ without touching the database again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .core import (
+    AbsentItemError,
     ExternalUtilityTable,
     Item,
     Pattern,
     QSequenceDatabase,
-    q_sequence_utility,
 )
 
 
@@ -40,35 +40,49 @@ class SILSegment(NamedTuple):
 
 @dataclass(frozen=True)
 class SIL:
+    """One sequence's entries, by segment and by position.
+
+    by_position maps each position to its entries keyed by item; it holds
+    the same SILEntry objects as segments.
+    """
+
     sid: int
     segments: tuple[SILSegment, ...]
-
-    @cached_property
-    def by_position(self) -> dict[int, dict[Item, SILEntry]]:
-        out: dict[int, dict[Item, SILEntry]] = {}
-        for seg in self.segments:
-            for offset, itemset in enumerate(seg.itemsets):
-                out[seg.start + offset] = {entry.item: entry for entry in itemset}
-        return out
+    by_position: dict[int, dict[Item, SILEntry]] = field(compare=False, repr=False)
 
 
 def build_sil(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[SIL]:
-    """One SIL per sequence, in database order."""
+    """One SIL per sequence, in database order.
+
+    Each sequence is walked once, backwards, so every entry's remainder is
+    the running total of the utilities already seen.
+    """
+    weight_of = dict(enumerate(eut.weights))
     sils = []
-    for seq in db.sequences:
-        left = q_sequence_utility(seq, eut)
-        segments = []
-        for seg in seq.segments:
-            itemsets = []
-            for itemset in seg.itemsets:
-                entries = []
-                for qitem in itemset:
-                    utility = qitem.quantity * eut.weight(qitem.item)
-                    left -= utility
-                    entries.append(SILEntry(qitem.item, utility, left))
-                itemsets.append(tuple(entries))
-            segments.append(SILSegment(seg.start, tuple(itemsets)))
-        sils.append(SIL(seq.sid, tuple(segments)))
+    try:
+        for seq in db.sequences:
+            left = 0
+            by_position: dict[int, dict[Item, SILEntry]] = {}
+            segments = []
+            for seg in reversed(seq.segments):
+                itemsets = []
+                pos = seg.start + len(seg.itemsets)
+                for itemset in reversed(seg.itemsets):
+                    pos -= 1
+                    entries = []
+                    for item, quantity in reversed(itemset):
+                        utility = quantity * weight_of[item]
+                        entries.append(SILEntry(item, utility, left))
+                        left += utility
+                    entries.reverse()
+                    itemsets.append(tuple(entries))
+                    by_position[pos] = {entry.item: entry for entry in entries}
+                itemsets.reverse()
+                segments.append(SILSegment(seg.start, tuple(itemsets)))
+            segments.reverse()
+            sils.append(SIL(seq.sid, tuple(segments), by_position))
+    except KeyError as e:
+        raise AbsentItemError(f"item {e.args[0]} has no external utility") from None
     return sils
 
 
@@ -90,8 +104,7 @@ class IChainElement(NamedTuple):
     utility: int
 
 
-@dataclass(frozen=True)
-class InstanceList:
+class InstanceList(NamedTuple):
     sid: int
     elements: tuple[IChainElement, ...]
 
@@ -105,22 +118,25 @@ class IChain:
 
 
 def build_initial_ichains(sils: list[SIL]) -> dict[Item, IChain]:
-    """IChains of every single-item pattern present in the indexed database."""
-    per_item: dict[Item, dict[int, list[IChainElement]]] = {}
+    """IChains of every single-item pattern present in the indexed database.
+
+    sils must be in ascending sid order, as build_sil returns them; each is
+    walked once in position order, so every list comes out sorted.
+    """
+    per_item: defaultdict[Item, list[InstanceList]] = defaultdict(list)
+    last_sid = None
     for sil in sils:
-        for pos in sorted(sil.by_position):
-            for item, entry in sil.by_position[pos].items():
-                per_item.setdefault(item, {}).setdefault(sil.sid, []).append(
-                    IChainElement(pos, entry.utility)
-                )
-    chains: dict[Item, IChain] = {}
-    for item in sorted(per_item):
-        lists = tuple(
-            InstanceList(sid, tuple(elements))
-            for sid, elements in sorted(per_item[item].items())
-        )
-        chains[item] = IChain(((item,),), lists)
-    return chains
+        if last_sid is not None and sil.sid <= last_sid:
+            raise ValueError("SILs must be in ascending sid order")
+        last_sid = sil.sid
+        in_sequence: defaultdict[Item, list[IChainElement]] = defaultdict(list)
+        for seg in sil.segments:
+            for pos, itemset in enumerate(seg.itemsets, start=seg.start):
+                for item, utility, _ in itemset:
+                    in_sequence[item].append(IChainElement(pos, utility))
+        for item, elements in in_sequence.items():
+            per_item[item].append(InstanceList(last_sid, tuple(elements)))
+    return {item: IChain(((item,),), tuple(per_item[item])) for item in sorted(per_item)}
 
 
 def extend_ichain_i(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> IChain:

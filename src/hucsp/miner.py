@@ -26,6 +26,7 @@ from .core import (
     Pattern,
     QSequenceDatabase,
     ResultSet,
+    collector_paused,
     db_utility,
     pattern_length,
     sort_results,
@@ -136,6 +137,7 @@ def recursive_search(
         stack.extend(reversed(children))
 
 
+@collector_paused()
 def mine(
     db: QSequenceDatabase, eut: ExternalUtilityTable, config: MiningConfig
 ) -> tuple[ResultSet, MiningStats]:

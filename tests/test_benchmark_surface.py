@@ -1,0 +1,43 @@
+"""The program surface perfbench/child.py measures: the names it wraps exist and
+one repetition on the worked example writes well-formed measurements."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("mode", ["plain", "trace"])
+def test_child_repetition_on_running_example(tmp_path, mode):
+    db, eut = tmp_path / "db.txt", tmp_path / "eut.txt"
+    out, measured = tmp_path / "out.txt", tmp_path / "measure.json"
+    db.write_text(RUNNING_DB_TEXT, encoding="utf-8")
+    eut.write_text(RUNNING_EUT_TEXT, encoding="utf-8")
+    argv = [sys.executable, str(ROOT / "perfbench" / "child.py"), mode,
+            str(db), str(eut), "0.25", str(out), str(measured)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(measured.read_text(encoding="utf-8"))
+    assert record["code"] == 0
+    spans = {span[0] for span in record["spans"]}
+    assert {"_read_text", "parse_database", "mine", "serialize_results"} <= spans
+    assert record["stats"] == {
+        "candidates": 65,
+        "hucsps": 2,
+        "guip_deleted_items": 0,
+        "guip_rounds": 0,
+        "luip_pruned": 54,
+    }
+    assert out.read_text(encoding="utf-8") == "a -1 c -1 #UTIL: 36\nb f -1 #UTIL: 27\n"
+    if mode == "trace":
+        assert record["absent"] == []

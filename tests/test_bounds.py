@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import A, B, C, D, E, F, q_databases
 from hucsp.bounds import (
@@ -49,6 +51,19 @@ class TestThreshold:
         assert Threshold.from_text("0", 106).admits(0)
         assert Threshold.from_text("1", 106).min_utility == 106
         assert Threshold.from_text("0.001", 1000).min_utility == 1
+
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        st.integers(0, 10**30),
+        st.integers(-2, 2),
+    )
+    def test_integer_compare_is_exact(self, xi, total, offset):
+        t = Threshold.from_text(str(xi), total)
+        exact = xi * total
+        # Probe both sides of the bar, and the bar itself when it is an integer.
+        for utility in (math.floor(exact) + offset, math.ceil(exact) + offset):
+            assert t.admits(utility) == (utility >= exact)
+            assert t.rejects(utility) == (utility < exact)
 
     @pytest.mark.parametrize("text", ["-0.1", "1.01", "2", "abc", "", "0.2.5"])
     def test_rejects(self, text):

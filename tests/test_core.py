@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import A, B, C, E, F, q_databases
+import hucsp.dataio as dataio
+import hucsp.miner as miner
+from conftest import A, B, C, E, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, q_databases
 from hucsp.core import (
     AbsentItemError,
+    ExternalUtilityTable,
     NoInstanceError,
     QItem,
     QSequence,
     QSequenceDatabase,
     Segment,
+    collector_paused,
     contains,
     db_utility,
     ending_positions,
@@ -30,6 +37,7 @@ from hucsp.core import (
     remaining_utility_after,
     sort_results,
 )
+from hucsp.miner import MiningConfig, mine
 
 
 class TestItemUtility:
@@ -264,3 +272,90 @@ class TestUtilityProperties:
             for first, second in itertools.product(items, repeat=2):
                 for pos in ending_positions(((first,), (second,)), seq):
                     assert pos in present and pos - 1 in present
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the collector enabled; restore whatever state a test left."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _recording(fn, seen):
+    def wrapper(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestCollectorPaused:
+    def test_paused_inside_parse_and_mine_only(self, collector_on, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            dataio, "parse_utility_table", _recording(dataio.parse_utility_table, seen)
+        )
+        monkeypatch.setattr(miner, "validate", _recording(miner.validate, seen))
+        db, eut = dataio.parse_database(RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
+        assert gc.isenabled()
+        mine(db, eut, MiningConfig(xi="0.25"))
+        assert gc.isenabled()
+        assert seen == [False, False]
+
+    def test_restored_when_mining_raises(self, collector_on, running):
+        db, _ = running
+        with pytest.raises(ValueError, match="invalid database"):
+            mine(db, ExternalUtilityTable((0,) * 6), MiningConfig(xi="0.25"))
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self, collector_on, running):
+        gc.disable()
+        mine(*running, MiningConfig(xi="0.25"))
+        with collector_paused():
+            pass
+        assert not gc.isenabled()
+
+    def test_nested_pauses(self, collector_on):
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_overlapping_threads(self, collector_on, running, monkeypatch):
+        db, eut = running
+        expected = mine(db, eut, MiningConfig(xi="0.25"))
+        enabled_inside = []
+        # Checked throughout the search, where another thread's early resume would show.
+        monkeypatch.setattr(
+            miner, "recursive_search", _recording(miner.recursive_search, enabled_inside)
+        )
+        results = []
+        errors = []
+
+        def work():
+            try:
+                for _ in range(40):
+                    results.append(mine(db, eut, MiningConfig(xi="0.25")))
+            except Exception as e:  # reported by the main thread below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert gc.isenabled()
+        assert not any(enabled_inside)
+        assert len(results) == 160 and all(r == expected for r in results)

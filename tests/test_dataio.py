@@ -214,6 +214,30 @@ class TestValidate:
         )[0]
         assert "empty itemset" in validate(self._db(()), eut)[0]
 
+    def test_multi_segment_positions_in_order(self):
+        _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
+        seq = QSequence(
+            0,
+            (
+                Segment(1, ((QItem(0, 1),), (QItem(1, 0),))),
+                Segment(5, ((QItem(2, 1), QItem(0, 1)), (QItem(9, 1),))),
+            ),
+        )
+        assert validate(QSequenceDatabase((seq,), ("a", "b", "c")), eut) == [
+            "sequence 0, position 2: quantity must be >= 1",
+            "sequence 0, position 5: items not strictly ascending",
+            "sequence 0, position 6: missing external utility for item 9",
+        ]
+
+    def test_mining_caches_no_position_map(self):
+        from hucsp.miner import MiningConfig, mine
+
+        db, eut = parse_database(RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
+        gapped = QSequence(5, (Segment(1, ((QItem(A, 1),),)), Segment(3, ((QItem(C, 2),),))))
+        db = QSequenceDatabase(db.sequences + (gapped,), db.names)
+        mine(db, eut, MiningConfig(xi="0.1"))
+        assert all("by_position" not in seq.__dict__ for seq in db.sequences)
+
     def test_reports_bad_weights(self):
         db = self._db((QItem(0, 1),))
         from hucsp.core import ExternalUtilityTable

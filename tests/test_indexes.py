@@ -7,6 +7,12 @@ from hypothesis import given
 
 from conftest import A, B, C, D, E, F, q_databases
 from hucsp.core import (
+    AbsentItemError,
+    ExternalUtilityTable,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
+    Segment,
     ending_positions,
     instance_utility,
     pattern_utility,
@@ -85,6 +91,25 @@ class TestSIL:
         assert set(sils[0].by_position) == {1, 2, 3}
         assert sils[0].by_position[1][B].utility == 4
 
+    @given(q_databases(segmented=True))
+    def test_by_position_shares_the_segment_entries(self, dbeut):
+        db, eut = dbeut
+        for sil in build_sil(db, eut):
+            slots = [
+                (pos, entry)
+                for seg in sil.segments
+                for pos, itemset in enumerate(seg.itemsets, start=seg.start)
+                for entry in itemset
+            ]
+            assert sum(map(len, sil.by_position.values())) == len(slots)
+            assert all(sil.by_position[pos][e.item] is e for pos, e in slots)
+
+    @pytest.mark.parametrize("item", [1, 7, -1])
+    def test_item_without_weight(self, item):
+        seq = QSequence(0, (Segment(1, ((QItem(0, 1), QItem(item, 1)),)),))
+        with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
+            build_sil(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
+
 
 class TestInitialIChains:
     def test_chain_of_a(self, indexed):
@@ -104,6 +129,11 @@ class TestInitialIChains:
         _, _, _, initial = indexed
         assert sorted(initial) == [A, B, C, D, E, F]
         assert all(initial[i].pattern == ((i,),) for i in initial)
+
+    def test_refuses_sils_out_of_sid_order(self, indexed):
+        _, _, sils, _ = indexed
+        with pytest.raises(ValueError, match="ascending sid order"):
+            build_initial_ichains([sils[1], sils[0]])
 
     def test_utilities(self, indexed):
         _, _, _, initial = indexed
