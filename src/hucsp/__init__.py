@@ -1,84 +1,6 @@
 """High-utility contiguous sequential pattern mining."""
 
-from .bounds import (
-    GuipResult,
-    Threshold,
-    extension_utilizations,
-    guip_revise,
-    ieu_i_by_sequence,
-    ieu_i_extension,
-    ieu_s_by_sequence,
-    ieu_s_extension,
-    luip_admits,
-    swu_per_item,
-)
-from .core import (
-    AbsentItemError,
-    ExternalUtilityTable,
-    Item,
-    NoInstanceError,
-    Pattern,
-    QItem,
-    QItemset,
-    QSequence,
-    QSequenceDatabase,
-    ResultSet,
-    Segment,
-    contains,
-    db_utility,
-    ending_positions,
-    instance_utility,
-    item_utility,
-    itemset_utility,
-    pattern_length,
-    pattern_sort_key,
-    pattern_utility,
-    pattern_utility_in_sequence,
-    q_sequence_utility,
-    remaining_utility_after,
-    sort_results,
-)
-from .dataio import (
-    GeneratorParams,
-    ParseError,
-    format_pattern,
-    generate_synthetic,
-    parse_database,
-    parse_utility_table,
-    serialize_database,
-    serialize_results,
-    validate,
-)
-from .indexes import (
-    IChain,
-    IChainElement,
-    InstanceList,
-    SIL,
-    SILEntry,
-    SILSegment,
-    build_initial_ichains,
-    build_sil,
-    collect_extension_items,
-    extend_ichain_i,
-    extend_ichain_s,
-    ichain_pattern_utility,
-    sil_to_text,
-)
-from .miner import (
-    BoundViolationError,
-    MiningConfig,
-    MiningStats,
-    effective_search_rate,
-    mine,
-    recursive_search,
-)
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    UniverseTooLargeError,
-    enumerate_patterns,
-    instance_count,
-    oracle_mine,
-    select_high_utility,
-)
+from .dataio import parse_database
+from .miner import MiningConfig, mine
 
 __version__ = "0.1.0"

@@ -53,8 +53,13 @@ class Threshold:
 
     @classmethod
     def from_text(cls, xi_text: str, total_utility: int) -> "Threshold":
+        text = xi_text.strip()
+        # Fraction expands an exponent into a power of ten with that many
+        # digits, so a short text such as 1e-10000000 would run without bound.
+        if "e" in text.lower():
+            raise ValueError(f"invalid threshold {xi_text!r}")
         try:
-            xi = Fraction(xi_text.strip())
+            xi = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"invalid threshold {xi_text!r}") from None
         if not 0 <= xi <= 1:
@@ -128,42 +133,36 @@ def guip_revise(
         db = _delete_items(db, doomed)
 
 
-def ieu_i_by_sequence(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> dict[int, int]:
-    """Per-sequence IEU of appending item to the last itemset of the prefix.
+def _ieu_by_sequence(
+    prefix: IChain, item: Item, sils: Mapping[int, SIL], step: int
+) -> dict[int, int]:
+    """Per-sequence IEU of placing item step positions after each instance's end.
 
-    A prefix instance qualifies when item also occurs at its ending position;
-    the bound there is instance utility + item utility + remaining utility
-    after the item.
+    A prefix instance qualifies when item occurs there; the bound is instance
+    utility + item utility + remaining utility after the item.
     """
     out: dict[int, int] = {}
     for il in prefix.lists:
         by_position = sils[il.sid].by_position
         best = -1
         for epos, utility in il.elements:
-            entry = by_position[epos].get(item)
+            row = by_position.get(epos + step)
+            entry = row.get(item) if row else None
             if entry is not None:
                 best = max(best, utility + entry.utility + entry.remaining)
         if best >= 0:
             out[il.sid] = best
     return out
+
+
+def ieu_i_by_sequence(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> dict[int, int]:
+    """Per-sequence IEU of appending item to the last itemset of the prefix."""
+    return _ieu_by_sequence(prefix, item, sils, 0)
 
 
 def ieu_s_by_sequence(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> dict[int, int]:
     """Per-sequence IEU of appending {item} as a new itemset after the prefix."""
-    out: dict[int, int] = {}
-    for il in prefix.lists:
-        by_position = sils[il.sid].by_position
-        best = -1
-        for epos, utility in il.elements:
-            nxt = by_position.get(epos + 1)
-            if nxt is None:
-                continue
-            entry = nxt.get(item)
-            if entry is not None:
-                best = max(best, utility + entry.utility + entry.remaining)
-        if best >= 0:
-            out[il.sid] = best
-    return out
+    return _ieu_by_sequence(prefix, item, sils, 1)
 
 
 def ieu_i_extension(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> int:

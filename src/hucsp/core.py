@@ -58,16 +58,17 @@ class QSequence:
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
-        prev_end = 0
+        least_start = 1
         for seg in self.segments:
             if not seg.itemsets:
                 raise ValueError(f"sequence {self.sid}: empty segment")
-            if seg.start <= prev_end:
+            if seg.start < least_start:
                 raise ValueError(
                     f"sequence {self.sid}: segment at {seg.start} overlaps or "
                     f"touches the previous one (segments must be separated by a gap)"
                 )
-            prev_end = seg.start + len(seg.itemsets) - 1
+            # One missing position at least, so a gap never reads as adjacent.
+            least_start = seg.start + len(seg.itemsets) + 1
 
     @cached_property
     def by_position(self) -> dict[int, QItemset]:

@@ -15,7 +15,7 @@ without touching the database again.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .core import (
@@ -33,22 +33,16 @@ class SILEntry(NamedTuple):
     remaining: int
 
 
-class SILSegment(NamedTuple):
-    start: int
-    itemsets: tuple[tuple[SILEntry, ...], ...]
+class SIL(NamedTuple):
+    """One sequence's entries: by_position maps position -> item -> entry.
 
-
-@dataclass(frozen=True)
-class SIL:
-    """One sequence's entries, by segment and by position.
-
-    by_position maps each position to its entries keyed by item; it holds
-    the same SILEntry objects as segments.
+    build_sil walks the sequence backwards, so positions are keys in
+    descending order; each row lists its items ascending.  A position
+    missing between two keys is a segment gap.
     """
 
     sid: int
-    segments: tuple[SILSegment, ...]
-    by_position: dict[int, dict[Item, SILEntry]] = field(compare=False, repr=False)
+    by_position: dict[int, dict[Item, SILEntry]]
 
 
 def build_sil(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[SIL]:
@@ -63,9 +57,7 @@ def build_sil(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[SIL]:
         for seq in db.sequences:
             left = 0
             by_position: dict[int, dict[Item, SILEntry]] = {}
-            segments = []
             for seg in reversed(seq.segments):
-                itemsets = []
                 pos = seg.start + len(seg.itemsets)
                 for itemset in reversed(seg.itemsets):
                     pos -= 1
@@ -74,29 +66,23 @@ def build_sil(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[SIL]:
                         utility = quantity * weight_of[item]
                         entries.append(SILEntry(item, utility, left))
                         left += utility
-                    entries.reverse()
-                    itemsets.append(tuple(entries))
-                    by_position[pos] = {entry.item: entry for entry in entries}
-                itemsets.reverse()
-                segments.append(SILSegment(seg.start, tuple(itemsets)))
-            segments.reverse()
-            sils.append(SIL(seq.sid, tuple(segments), by_position))
+                    by_position[pos] = {entry.item: entry for entry in reversed(entries)}
+            sils.append(SIL(seq.sid, by_position))
     except KeyError as e:
         raise AbsentItemError(f"item {e.args[0]} has no external utility") from None
     return sils
 
 
 def sil_to_text(sil: SIL, names: tuple[str, ...]) -> str:
-    """Render entries as (name,utility,remaining); '/' between itemsets, '//' between segments."""
-    segments = []
-    for seg in sil.segments:
-        segments.append(
-            "/".join(
-                "".join(f"({names[e.item]},{e.utility},{e.remaining})" for e in itemset)
-                for itemset in seg.itemsets
-            )
-        )
-    return "//".join(segments)
+    """Render entries as (name,utility,remaining); '/' between itemsets, '//' across a gap."""
+    parts = []
+    previous = None
+    for pos, row in reversed(sil.by_position.items()):
+        if previous is not None:
+            parts.append("/" if pos == previous + 1 else "//")
+        parts.extend(f"({names[e.item]},{e.utility},{e.remaining})" for e in row.values())
+        previous = pos
+    return "".join(parts)
 
 
 class IChainElement(NamedTuple):
@@ -130,10 +116,9 @@ def build_initial_ichains(sils: list[SIL]) -> dict[Item, IChain]:
             raise ValueError("SILs must be in ascending sid order")
         last_sid = sil.sid
         in_sequence: defaultdict[Item, list[IChainElement]] = defaultdict(list)
-        for seg in sil.segments:
-            for pos, itemset in enumerate(seg.itemsets, start=seg.start):
-                for item, utility, _ in itemset:
-                    in_sequence[item].append(IChainElement(pos, utility))
+        for pos, row in reversed(sil.by_position.items()):
+            for item, utility, _ in row.values():
+                in_sequence[item].append(IChainElement(pos, utility))
         for item, elements in in_sequence.items():
             per_item[item].append(InstanceList(last_sid, tuple(elements)))
     return {item: IChain(((item,),), tuple(per_item[item])) for item in sorted(per_item)}
@@ -190,27 +175,3 @@ def extend_ichain_s(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> ICha
 def ichain_pattern_utility(chain: IChain) -> int:
     """Pattern utility from the chain alone: per-sequence maxima, summed."""
     return sum(max(e.utility for e in il.elements) for il in chain.lists)
-
-
-def collect_extension_items(
-    chain: IChain, sils: Mapping[int, SIL]
-) -> tuple[tuple[Item, ...], tuple[Item, ...]]:
-    """Items that could item-extend / sequence-extend the chain's pattern.
-
-    Item-extension candidates occur at an instance's ending position with an
-    id above the pattern's last item; sequence-extension candidates occur at
-    the position right after an ending position.  Both ascending.
-    """
-    last = chain.pattern[-1][-1]
-    i_items: set[Item] = set()
-    s_items: set[Item] = set()
-    for il in chain.lists:
-        by_position = sils[il.sid].by_position
-        for epos, _ in il.elements:
-            for item in by_position[epos]:
-                if item > last:
-                    i_items.add(item)
-            nxt = by_position.get(epos + 1)
-            if nxt:
-                s_items.update(nxt)
-    return tuple(sorted(i_items)), tuple(sorted(s_items))

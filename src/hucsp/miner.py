@@ -18,7 +18,6 @@ emitted utility-qualified patterns over candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import Threshold, extension_utilizations, guip_revise, luip_admits
 from .core import (
@@ -63,12 +62,6 @@ class MiningStats:
     guip_deleted_items: int
     guip_rounds: int
     luip_pruned: int
-
-    @property
-    def esr(self) -> Fraction | None:
-        if self.candidates == 0:
-            return None
-        return Fraction(self.hucsps, self.candidates)
 
     def to_dict(self) -> dict:
         return {

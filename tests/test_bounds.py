@@ -23,7 +23,7 @@ from hucsp.bounds import (
 )
 from hucsp.core import db_utility
 from hucsp.dataio import parse_database
-from hucsp.indexes import build_initial_ichains, build_sil, collect_extension_items
+from hucsp.indexes import build_initial_ichains, build_sil
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,12 @@ class TestThreshold:
     @pytest.mark.parametrize("text", ["-0.1", "1.01", "2", "abc", "", "0.2.5"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
+            Threshold.from_text(text, 106)
+
+    @pytest.mark.parametrize("text", ["1e-1000000", "1E-1", "5e-1"])
+    def test_refuses_exponent_notation(self, text):
+        # Fraction would expand 1e-1000000 into a million-digit power of ten.
+        with pytest.raises(ValueError, match="invalid threshold"):
             Threshold.from_text(text, 106)
 
 
@@ -171,7 +177,7 @@ class TestIEU:
 
         db, eut, sils, initial = indexed
         for item, chain in initial.items():
-            i_items, s_items = collect_extension_items(chain, sils)
+            i_items, s_items = extension_utilizations(chain, sils)
             for j in i_items:
                 ext = extend_ichain_i(chain, j, sils)
                 assert pattern_utility(ext.pattern, db, eut) <= ieu_i_extension(chain, j, sils)
@@ -185,12 +191,15 @@ class TestIEU:
         sils = {s.sid: s for s in build_sil(db, eut)}
         for chain in build_initial_ichains(list(sils.values())).values():
             i_map, s_map = extension_utilizations(chain, sils)
-            i_items, s_items = collect_extension_items(chain, sils)
-            assert tuple(sorted(i_map)) == i_items
-            assert tuple(sorted(s_map)) == s_items
-            for j in i_items:
+            last = chain.pattern[-1][-1]
+            items = range(len(eut.weights))
+            assert set(i_map) == {
+                j for j in items if j > last and ieu_i_by_sequence(chain, j, sils)
+            }
+            assert set(s_map) == {j for j in items if ieu_s_by_sequence(chain, j, sils)}
+            for j in i_map:
                 assert i_map[j] == ieu_i_extension(chain, j, sils)
-            for j in s_items:
+            for j in s_map:
                 assert s_map[j] == ieu_s_extension(chain, j, sils)
 
 

@@ -82,6 +82,12 @@ class TestMine:
         assert main(args) == 1
         assert "threshold out of range" in capsys.readouterr().err
 
+    def test_threshold_in_exponent_notation(self, workdir, capsys):
+        args = _mine_args(workdir)
+        args[args.index("0.25")] = "1e-1000000"
+        assert main(args) == 1
+        assert "invalid threshold" in capsys.readouterr().err
+
     def test_parse_error_has_position(self, workdir, capsys):
         (workdir / "db.txt").write_text("a:1 -1\n", encoding="utf-8")
         assert main(_mine_args(workdir)) == 1

@@ -111,6 +111,14 @@ class TestEndingPositions:
         assert ending_positions(((A,),), seq) == (1,)
         assert ending_positions(((B,),), seq) == (3,)
 
+    @pytest.mark.parametrize(
+        "starts", [(0,), (1, 2), (1, 1), (2, 4, 5)], ids=["first-at-0", "touch", "overlap", "third"]
+    )
+    def test_segments_need_a_gap(self, starts):
+        segments = tuple(Segment(start, ((QItem(k, 1),),)) for k, start in enumerate(starts))
+        with pytest.raises(ValueError, match="separated by a gap"):
+            QSequence(0, segments)
+
     def test_rejects_malformed_pattern(self, running):
         db, _ = running
         for bad in ((), ((),), ((B, A),), ((A, A),), ((-1,),)):

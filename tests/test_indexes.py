@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import A, B, C, D, E, F, q_databases
+from hucsp.bounds import extension_utilizations
 from hucsp.core import (
     AbsentItemError,
     ExternalUtilityTable,
@@ -21,7 +22,6 @@ from hucsp.core import (
 from hucsp.indexes import (
     build_initial_ichains,
     build_sil,
-    collect_extension_items,
     extend_ichain_i,
     extend_ichain_s,
     ichain_pattern_utility,
@@ -80,7 +80,7 @@ class TestSIL:
     def test_remaining_utilities_telescope(self, dbeut):
         db, eut = dbeut
         for sil, seq in zip(build_sil(db, eut), db.sequences):
-            entries = [e for seg in sil.segments for s in seg.itemsets for e in s]
+            entries = [e for _, row in sorted(sil.by_position.items()) for e in row.values()]
             assert entries[0].utility + entries[0].remaining == q_sequence_utility(seq, eut)
             for cur, nxt in zip(entries, entries[1:]):
                 assert cur.remaining == nxt.utility + nxt.remaining
@@ -92,17 +92,23 @@ class TestSIL:
         assert sils[0].by_position[1][B].utility == 4
 
     @given(q_databases(segmented=True))
-    def test_by_position_shares_the_segment_entries(self, dbeut):
+    def test_by_position_holds_every_q_item(self, dbeut):
         db, eut = dbeut
-        for sil in build_sil(db, eut):
-            slots = [
-                (pos, entry)
-                for seg in sil.segments
-                for pos, itemset in enumerate(seg.itemsets, start=seg.start)
-                for entry in itemset
+        for sil, seq in zip(build_sil(db, eut), db.sequences):
+            assert sorted(sil.by_position) == list(seq.positions())
+            for pos, row in sil.by_position.items():
+                assert [(e.item, e.utility) for e in row.values()] == [
+                    (q.item, q.quantity * eut.weights[q.item]) for q in seq.by_position[pos]
+                ]
+
+    @given(q_databases(segmented=True))
+    def test_text_splits_at_every_gap(self, dbeut):
+        db, eut = dbeut
+        for sil, seq in zip(build_sil(db, eut), db.sequences):
+            parts = sil_to_text(sil, db.names).split("//")
+            assert [len(part.split("/")) for part in parts] == [
+                len(seg.itemsets) for seg in seq.segments
             ]
-            assert sum(map(len, sil.by_position.values())) == len(slots)
-            assert all(sil.by_position[pos][e.item] is e for pos, e in slots)
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
@@ -180,10 +186,15 @@ class TestExtension:
         assert 4 not in _elements(ext)
 
 
-class TestCollectExtensionItems:
+def _extension_items(chain, sils):
+    i_map, s_map = extension_utilizations(chain, sils)
+    return tuple(sorted(i_map)), tuple(sorted(s_map))
+
+
+class TestExtensionItems:
     def test_items_after_a(self, indexed):
         _, _, sils, initial = indexed
-        i_items, s_items = collect_extension_items(initial[A], sils)
+        i_items, s_items = _extension_items(initial[A], sils)
         assert i_items == (B, C, D, E)
         assert s_items == (A, C, D, E, F)
 
@@ -193,7 +204,7 @@ class TestCollectExtensionItems:
         db, eut = parse_database("a:1 b:1 -1 -2\n", "a 1\nb 1\n")
         sils = {s.sid: s for s in build_sil(db, eut)}
         chain = build_initial_ichains(list(sils.values()))[B]
-        assert collect_extension_items(chain, sils) == ((), ())
+        assert _extension_items(chain, sils) == ((), ())
 
 
 class TestChainsAgreeWithCalculus:
@@ -225,7 +236,7 @@ class TestChainsAgreeWithCalculus:
         by_sid = {s.sid: s for s in sils}
         seqs = {s.sid: s for s in db.sequences}
         for chain in build_initial_ichains(sils).values():
-            i_items, s_items = collect_extension_items(chain, by_sid)
+            i_items, s_items = _extension_items(chain, by_sid)
             grown = [(extend_ichain_i(chain, j, by_sid)) for j in i_items]
             grown += [(extend_ichain_s(chain, j, by_sid)) for j in s_items]
             for ext in grown:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import A, B, C, F
+from conftest import A, B, C, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT
 from hucsp.core import pattern_length
 from hucsp.dataio import parse_database
 from hucsp.miner import (
@@ -35,7 +35,7 @@ class TestRunningExample:
             guip_rounds=0,
             luip_pruned=54,
         )
-        assert stats.esr == Fraction(2, 65)
+        assert stats.to_dict()["esr"] == "3.08%"
         assert effective_search_rate(stats) == "3.08%"
 
     def test_full_threshold_mines_nothing(self, running):
@@ -45,7 +45,7 @@ class TestRunningExample:
         assert stats.guip_deleted_items == 6
         assert stats.guip_rounds == 2
         assert stats.candidates == 0
-        assert stats.esr is None
+        assert stats.to_dict()["esr"] is None
 
     def test_zero_threshold_equals_the_whole_universe(self, running):
         db, eut = running
@@ -182,3 +182,14 @@ class TestEffectiveSearchRate:
         assert d["esr"] == "3.08%"
         assert d["candidates"] == 65
         assert MiningStats(0, 0, 3, 1, 0).to_dict()["esr"] is None
+
+
+class TestPublicSurface:
+    def test_readme_snippet_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "shop.db").write_text(RUNNING_DB_TEXT, encoding="utf-8")
+        (tmp_path / "shop.eut").write_text(RUNNING_EUT_TEXT, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        exec(snippet, {})
+        assert capsys.readouterr().out.splitlines() == ["((0,), (2,)) 36", "((1, 5),) 27"]
