@@ -20,6 +20,7 @@ import json
 import sys
 import time
 
+from .bounds import Threshold
 from .dataio import (
     GeneratorParams,
     ParseError,
@@ -216,6 +217,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     xis = [x.strip() for x in args.xi.split(",") if x.strip()]
     if not xis:
         raise ValueError("no thresholds given")
+    # Refuse a bad list before any mining, so it leaves no report line.
+    for xi in xis:
+        Threshold.from_text(xi, 0)
     db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     for xi in xis:
         started = time.perf_counter()

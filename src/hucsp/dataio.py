@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -46,6 +47,25 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _count_error(text: str, what: str, line: int, column: int) -> ParseError:
+    """The ParseError for a quantity or weight token that int() refused.
+
+    Python refuses to parse ints longer than sys.get_int_max_str_digits()
+    digits (4,300 by default); such a token, like any long malformed one, is
+    reported by its length and a short prefix, not echoed whole.
+    """
+    digits = text[1:] if text[0] in "+-" else text
+    limit = sys.get_int_max_str_digits()
+    if digits.isdecimal() and 0 < limit < len(digits):
+        return ParseError(
+            f"{what} {text[:12]}... has {len(digits)} digits, above the limit of {limit}",
+            line,
+            column,
+        )
+    shown = repr(text) if len(text) <= 40 else f"{text[:12]!r}... ({len(text)} characters)"
+    return ParseError(f"malformed {what} {shown}", line, column)
+
+
 def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTable]:
     """Parse 'name weight' lines; ids follow first-appearance order."""
     names: list[str] = []
@@ -64,7 +84,7 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
         try:
             weight = int(weight_text)
         except ValueError:
-            raise ParseError(f"malformed weight {weight_text!r}", lineno, weight_col) from None
+            raise _count_error(weight_text, "weight", lineno, weight_col) from None
         if weight < 1:
             raise ParseError("external utility must be >= 1", lineno, weight_col)
         seen.add(name)
@@ -110,7 +130,7 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
                 try:
                     quantity = int(quantity_text)
                 except ValueError:
-                    raise ParseError(f"malformed quantity {quantity_text!r}", lineno, col) from None
+                    raise _count_error(quantity_text, "quantity", lineno, col) from None
                 if quantity < 1:
                     raise ParseError("quantity must be >= 1", lineno, col)
                 if current:

@@ -9,14 +9,15 @@ utility, and the last entry's remainder is 0.
 An IChain indexes every instance of one pattern: per containing sequence, the
 (ending position, instance utility) pairs in ascending position order.
 Chains for extended patterns are built from the parent chain plus the SIL
-without touching the database again.
+without touching the database again: one pass over a parent chain builds
+the chains of all requested siblings of one kind and their utilities.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     AbsentItemError,
@@ -124,54 +125,80 @@ def build_initial_ichains(sils: list[SIL]) -> dict[Item, IChain]:
     return {item: IChain(((item,),), tuple(per_item[item])) for item in sorted(per_item)}
 
 
-def extend_ichain_i(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> IChain:
-    """Chain for the pattern with item appended to the last itemset.
+def _extend_ichains(
+    prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL], step: int
+) -> list[tuple[tuple[InstanceList, ...], int]]:
+    """Instance lists and pattern utility of each item placed step positions on.
 
-    item must sort after the last item of the prefix pattern.  An instance
-    survives when item also occurs at its ending position; its utility grows
-    by that occurrence.
+    One pass over the prefix chain serves every item.  An instance extends
+    when item occurs at ending position + step; the new instance ends there
+    and its utility grows by that occurrence.  A child's utility is the sum
+    of its per-sequence maxima, kept as the lists are built.
     """
-    last_itemset = prefix.pattern[-1]
-    if item <= last_itemset[-1]:
+    wanted = set(items)
+    lists: dict[Item, list[InstanceList]] = {item: [] for item in wanted}
+    totals = dict.fromkeys(wanted, 0)
+    for sid, elements in prefix.lists:
+        by_position = sils[sid].by_position
+        grown: dict[Item, list[IChainElement]] = {}
+        best: dict[Item, int] = {}
+        for epos, utility in elements:
+            pos = epos + step
+            row = by_position.get(pos)
+            if row is None:
+                continue
+            for item, entry in row.items():
+                if item in wanted:
+                    value = utility + entry.utility
+                    found = grown.get(item)
+                    if found is None:
+                        grown[item] = [IChainElement(pos, value)]
+                        best[item] = value
+                    else:
+                        found.append(IChainElement(pos, value))
+                        if value > best[item]:
+                            best[item] = value
+        for item, found in grown.items():
+            lists[item].append(InstanceList(sid, tuple(found)))
+            totals[item] += best[item]
+    return [(tuple(lists[item]), totals[item]) for item in items]
+
+
+def extend_ichain_i(
+    prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL]
+) -> list[tuple[IChain, int]]:
+    """Chain and utility of each pattern with one of items appended to the last itemset.
+
+    Every item must sort after the last item of the prefix pattern.  Results
+    follow the order of items.
+    """
+    head, last_itemset = prefix.pattern[:-1], prefix.pattern[-1]
+    if any(item <= last_itemset[-1] for item in items):
         raise ValueError("item-extension must append a larger item id")
-    pattern = prefix.pattern[:-1] + (last_itemset + (item,),)
-    lists = []
-    for il in prefix.lists:
-        by_position = sils[il.sid].by_position
-        elements = []
-        for epos, utility in il.elements:
-            entry = by_position[epos].get(item)
-            if entry is not None:
-                elements.append(IChainElement(epos, utility + entry.utility))
-        if elements:
-            lists.append(InstanceList(il.sid, tuple(elements)))
-    return IChain(pattern, tuple(lists))
+    return [
+        (IChain(head + (last_itemset + (item,),), lists), utility)
+        for item, (lists, utility) in zip(items, _extend_ichains(prefix, items, sils, 0))
+    ]
 
 
-def extend_ichain_s(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> IChain:
-    """Chain for the pattern with {item} appended as a new itemset.
+def extend_ichain_s(
+    prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL]
+) -> list[tuple[IChain, int]]:
+    """Chain and utility of each pattern with {item} appended as a new itemset.
 
     An instance extends only when the position after its ending position
-    exists (same segment, contiguity) and holds item; the new instance ends
-    one position later.
+    exists (same segment, contiguity).  Results follow the order of items.
     """
-    pattern = prefix.pattern + ((item,),)
-    lists = []
-    for il in prefix.lists:
-        by_position = sils[il.sid].by_position
-        elements = []
-        for epos, utility in il.elements:
-            nxt = by_position.get(epos + 1)
-            if nxt is None:
-                continue
-            entry = nxt.get(item)
-            if entry is not None:
-                elements.append(IChainElement(epos + 1, utility + entry.utility))
-        if elements:
-            lists.append(InstanceList(il.sid, tuple(elements)))
-    return IChain(pattern, tuple(lists))
+    return [
+        (IChain(prefix.pattern + ((item,),), lists), utility)
+        for item, (lists, utility) in zip(items, _extend_ichains(prefix, items, sils, 1))
+    ]
 
 
 def ichain_pattern_utility(chain: IChain) -> int:
-    """Pattern utility from the chain alone: per-sequence maxima, summed."""
+    """Pattern utility from the chain alone: per-sequence maxima, summed.
+
+    The search needs it for the single-item chains only; extended chains
+    carry their utility out of the pass that builds them.
+    """
     return sum(max(e.utility for e in il.elements) for il in chain.lists)

@@ -93,7 +93,9 @@ def recursive_search(
 
     Runs on an explicit stack in exact recursion order (item-extensions
     before sequence-extensions, items ascending) so pattern depth is not
-    limited by the interpreter's call stack.
+    limited by the interpreter's call stack.  Each node's admitted
+    extensions of one kind are built, with their utilities, by one pass
+    over its chain.
     """
     stack: list[tuple[IChain, int | None]] = [(chain, parent_ieu)]
     while stack:
@@ -106,6 +108,7 @@ def recursive_search(
         i_bounds, s_bounds = extension_utilizations(prefix, sils)
         children: list[tuple[IChain, int]] = []
         for bounds_map, extend in ((i_bounds, extend_ichain_i), (s_bounds, extend_ichain_s)):
+            admitted = []
             for item in sorted(bounds_map):
                 counters.candidates += 1
                 ieu = bounds_map[item]
@@ -117,8 +120,12 @@ def recursive_search(
                 if config.enable_luip and not luip_admits(ieu, threshold):
                     counters.luip_pruned += 1
                     continue
-                child = extend(prefix, item, sils)
-                utility = ichain_pattern_utility(child)
+                admitted.append(item)
+            # Most nodes admit no extension of a kind; skip the pass over the chain.
+            if not admitted:
+                continue
+            for item, (child, utility) in zip(admitted, extend(prefix, admitted, sils)):
+                ieu = bounds_map[item]
                 if config.assert_bounds and utility > ieu:
                     raise BoundViolationError(
                         f"utility exceeds its extension bound: {utility} > {ieu} "

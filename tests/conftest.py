@@ -48,6 +48,15 @@ def running():
     return parse_database(RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
 
 
+def inflating(extend):
+    """A chain builder that reports every child's utility 10**9 too high."""
+
+    def wrapper(prefix, items, sils):
+        return [(child, utility + 10**9) for child, utility in extend(prefix, items, sils)]
+
+    return wrapper
+
+
 def draw_corpus(count: int, meta_seed: int, work_cap: int = 200_000):
     """Random small databases, deterministic in meta_seed.
 

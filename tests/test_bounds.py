@@ -177,12 +177,11 @@ class TestIEU:
 
         db, eut, sils, initial = indexed
         for item, chain in initial.items():
-            i_items, s_items = extension_utilizations(chain, sils)
-            for j in i_items:
-                ext = extend_ichain_i(chain, j, sils)
+            i_map, s_map = extension_utilizations(chain, sils)
+            i_items, s_items = sorted(i_map), sorted(s_map)
+            for j, (ext, _) in zip(i_items, extend_ichain_i(chain, i_items, sils)):
                 assert pattern_utility(ext.pattern, db, eut) <= ieu_i_extension(chain, j, sils)
-            for j in s_items:
-                ext = extend_ichain_s(chain, j, sils)
+            for j, (ext, _) in zip(s_items, extend_ichain_s(chain, s_items, sils)):
                 assert pattern_utility(ext.pattern, db, eut) <= ieu_s_extension(chain, j, sils)
 
     @given(q_databases(segmented=True))

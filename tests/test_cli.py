@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT
+from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT, inflating
 from hucsp.cli import main
 
 
@@ -93,10 +93,19 @@ class TestMine:
         assert main(_mine_args(workdir)) == 1
         assert "line 1, column 7" in capsys.readouterr().err
 
+    def test_over_long_quantity(self, workdir, capsys):
+        (workdir / "db.txt").write_text("a:" + "9" * 5000 + " -1 -2\n", encoding="utf-8")
+        assert main(_mine_args(workdir)) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert len(line) < 200
+        assert line.startswith("error: line 1, column 1: quantity ")
+        assert f"has 5000 digits, above the limit of {sys.get_int_max_str_digits()}" in line
+
     def test_assert_bounds_failure_exits_2(self, workdir, monkeypatch, capsys):
         import hucsp.miner as miner_module
 
-        monkeypatch.setattr(miner_module, "ichain_pattern_utility", lambda chain: 10**9)
+        for name in ("extend_ichain_i", "extend_ichain_s"):
+            monkeypatch.setattr(miner_module, name, inflating(getattr(miner_module, name)))
         assert main(_mine_args(workdir, "out.txt", "--assert-bounds")) == 2
         assert "assertion failed" in capsys.readouterr().err
 
@@ -203,6 +212,16 @@ class TestBench:
         args = ["bench", str(workdir / "db.txt"), str(workdir / "eut.txt"), "--xi", ","]
         assert main(args) == 1
         assert "no thresholds" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("xis", ["0.5,abc", "0.5,1e-1", "0.5,1.5"])
+    def test_bad_threshold_anywhere_in_the_list(self, workdir, capsys, xis):
+        report = workdir / "report.jsonl"
+        args = ["bench", str(workdir / "db.txt"), str(workdir / "eut.txt"), "--xi", xis,
+                "--report", str(report)]
+        assert main(args) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestModuleEntryPoint:

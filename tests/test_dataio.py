@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -100,6 +101,33 @@ class TestParseDatabase:
     def test_error_message_carries_position(self):
         with pytest.raises(ParseError, match=r"line 1, column 5"):
             parse_database("a:2 a:3 -1 -2\n", "a 3\n")
+
+
+class TestIntegerDigitLimit:
+    LIMIT = sys.get_int_max_str_digits()
+
+    def test_quantity_at_the_limit_parses(self):
+        db, _ = parse_database("a:" + "9" * self.LIMIT + " -1 -2\n", "a 1\n")
+        assert db.sequences[0].segments[0].itemsets[0][0].quantity == 10**self.LIMIT - 1
+
+    def test_over_long_quantity_names_its_length(self):
+        with pytest.raises(ParseError) as err:
+            parse_database("a:1 -1 -2\na:1 b:" + "7" * 5000 + " -1 -2\n", "a 3\nb 2\n")
+        assert (err.value.line, err.value.column) == (2, 5)
+        message = str(err.value)
+        assert f"quantity 777777777777... has 5000 digits, above the limit of {self.LIMIT}" in message
+        assert len(message) < 120
+
+    def test_over_long_weight_names_its_length(self):
+        with pytest.raises(ParseError) as err:
+            parse_utility_table("a 1\nb " + "1" * 5000 + "\n")
+        assert (err.value.line, err.value.column) == (2, 3)
+        assert "weight 111111111111... has 5000 digits" in str(err.value)
+
+    def test_over_long_garbage_is_still_malformed(self):
+        with pytest.raises(ParseError) as err:
+            parse_database("a:" + "9" * 5000 + "x -1 -2\n", "a 1\n")
+        assert str(err.value).endswith("malformed quantity '999999999999'... (5001 characters)")
 
 
 class TestSerializeDatabase:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import A, B, C, D, E, F, q_databases
 from hucsp.bounds import extension_utilizations
@@ -20,6 +21,7 @@ from hucsp.core import (
     q_sequence_utility,
 )
 from hucsp.indexes import (
+    IChain,
     build_initial_ichains,
     build_sil,
     extend_ichain_i,
@@ -151,38 +153,50 @@ class TestInitialIChains:
 class TestExtension:
     def test_item_extension_ae(self, indexed):
         _, _, sils, initial = indexed
-        ext = extend_ichain_i(initial[A], E, sils)
+        [(ext, utility)] = extend_ichain_i(initial[A], [E], sils)
         assert ext.pattern == ((A, E),)
         assert _elements(ext) == {0: [(2, 8)], 1: [(3, 5)]}
+        assert utility == 13
 
     def test_item_extension_bf(self, indexed):
         _, _, sils, initial = indexed
-        ext = extend_ichain_i(initial[B], F, sils)
+        [(ext, utility)] = extend_ichain_i(initial[B], [F], sils)
         assert _elements(ext) == {0: [(1, 8)], 2: [(1, 6)], 3: [(2, 13)]}
-        assert ichain_pattern_utility(ext) == 27
+        assert utility == 27
 
     def test_sequence_extension_ac(self, indexed):
         _, _, sils, initial = indexed
-        ext = extend_ichain_s(initial[A], C, sils)
+        [(ext, utility)] = extend_ichain_s(initial[A], [C], sils)
         assert ext.pattern == ((A,), (C,))
         assert _elements(ext) == {0: [(3, 12)], 1: [(2, 9)], 4: [(2, 15), (3, 6)]}
-        assert ichain_pattern_utility(ext) == 36
+        assert utility == 36
+
+    def test_siblings_come_back_in_item_order(self, indexed):
+        _, _, sils, initial = indexed
+        grown = extend_ichain_s(initial[A], [A, B, C], sils)
+        assert [ext.pattern for ext, _ in grown] == [((A,), (A,)), ((A,), (B,)), ((A,), (C,))]
+        assert [utility for _, utility in grown] == [9, 0, 36]
+        assert _elements(grown[0][0]) == {4: [(2, 9)]}
+        assert grown[1][0].lists == ()
 
     def test_extension_can_be_empty(self, indexed):
         _, _, sils, initial = indexed
-        assert extend_ichain_i(initial[E], F, sils).lists == ()
+        assert extend_ichain_i(initial[E], [F], sils) == [(IChain(((E, F),), ()), 0)]
+        assert extend_ichain_s(initial[E], [], sils) == []
 
     def test_item_extension_requires_larger_id(self, indexed):
         _, _, sils, initial = indexed
         with pytest.raises(ValueError):
-            extend_ichain_i(initial[C], A, sils)
+            extend_ichain_i(initial[C], [A], sils)
         with pytest.raises(ValueError):
-            extend_ichain_i(initial[C], C, sils)
+            extend_ichain_i(initial[C], [C], sils)
+        with pytest.raises(ValueError):
+            extend_ichain_i(initial[C], [C, D], sils)
 
     def test_sequence_extension_stops_at_sequence_end(self, indexed):
         _, _, sils, initial = indexed
         # b's only occurrence in S5 is the last itemset; nothing follows it
-        ext = extend_ichain_s(initial[B], B, sils)
+        [(ext, _)] = extend_ichain_s(initial[B], [B], sils)
         assert 4 not in _elements(ext)
 
 
@@ -235,16 +249,43 @@ class TestChainsAgreeWithCalculus:
         sils = build_sil(db, eut)
         by_sid = {s.sid: s for s in sils}
         seqs = {s.sid: s for s in db.sequences}
-        for chain in build_initial_ichains(sils).values():
+
+        def grow(chain):
             i_items, s_items = _extension_items(chain, by_sid)
-            grown = [(extend_ichain_i(chain, j, by_sid)) for j in i_items]
-            grown += [(extend_ichain_s(chain, j, by_sid)) for j in s_items]
-            for ext in grown:
-                for il in ext.lists:
-                    seq = seqs[il.sid]
-                    assert tuple(e.epos for e in il.elements) == ending_positions(
-                        ext.pattern, seq
-                    )
-                    for e in il.elements:
-                        assert e.utility == instance_utility(ext.pattern, e.epos, seq, eut)
-                assert ichain_pattern_utility(ext) == pattern_utility(ext.pattern, db, eut)
+            return extend_ichain_i(chain, i_items, by_sid) + extend_ichain_s(
+                chain, s_items, by_sid
+            )
+
+        def check(ext, utility):
+            assert [il.sid for il in ext.lists] == [
+                s.sid for s in db.sequences if ending_positions(ext.pattern, s)
+            ]
+            for il in ext.lists:
+                seq = seqs[il.sid]
+                assert tuple(e.epos for e in il.elements) == ending_positions(ext.pattern, seq)
+                for e in il.elements:
+                    assert e.utility == instance_utility(ext.pattern, e.epos, seq, eut)
+            assert utility == pattern_utility(ext.pattern, db, eut)
+
+        for chain in build_initial_ichains(sils).values():
+            for ext, utility in grow(chain):
+                check(ext, utility)
+                # depth 2: chains grown from built chains
+                for deeper, deeper_utility in grow(ext):
+                    check(deeper, deeper_utility)
+
+    @given(q_databases(segmented=True), st.data())
+    def test_a_batch_equals_one_call_per_item(self, dbeut, data):
+        db, eut = dbeut
+        sils = {s.sid: s for s in build_sil(db, eut)}
+        universe = range(len(eut.weights))
+        for chain in build_initial_ichains(list(sils.values())).values():
+            last = chain.pattern[-1][-1]
+            for extend, allowed in (
+                (extend_ichain_i, [j for j in universe if j > last]),
+                (extend_ichain_s, list(universe)),
+            ):
+                items = sorted(data.draw(st.sets(st.sampled_from(allowed))) if allowed else [])
+                batch = extend(chain, items, sils)
+                assert batch == [extend(chain, [j], sils)[0] for j in items]
+                assert [ext.pattern[-1][-1] for ext, _ in batch] == items

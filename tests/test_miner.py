@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A, B, C, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT
+from conftest import A, B, C, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, inflating
 from hucsp.core import pattern_length
 from hucsp.dataio import parse_database
 from hucsp.miner import (
@@ -126,10 +126,9 @@ class TestValidationAndAsserts:
         import hucsp.miner as miner_module
 
         db, eut = running
-        monkeypatch.setattr(
-            miner_module, "ichain_pattern_utility", lambda chain: 10**9
-        )
-        with pytest.raises(BoundViolationError):
+        for name in ("extend_ichain_i", "extend_ichain_s"):
+            monkeypatch.setattr(miner_module, name, inflating(getattr(miner_module, name)))
+        with pytest.raises(BoundViolationError, match="utility exceeds its extension bound"):
             mine(db, eut, MiningConfig(xi="0.25", assert_bounds=True))
 
 
