@@ -3,9 +3,10 @@
 Two overestimates drive pruning.  SWU (sequence-weighted utilization) of an
 item sums the full utility of every sequence containing it; any pattern
 holding the item can never exceed it, so items whose SWU falls below the
-threshold are deleted from the database up front, to a fixpoint (deletions
-shrink sequence utilities, which can push further items below).  The
-threshold itself is fixed from the original database utility and never
+threshold are deleted up front, to a fixpoint (deletions shrink sequence
+utilities, which can push further items below).  Deletion only names the
+items; the database is never rewritten, and the SIL build leaves them out.
+The threshold itself is fixed from the original database utility and never
 recomputed.
 
 IEU (item-extension utilization) bounds every pattern reachable by growing a
@@ -25,17 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import AbstractSet, Mapping, NamedTuple
 
-from .core import (
-    ExternalUtilityTable,
-    Item,
-    QItemset,
-    QSequence,
-    QSequenceDatabase,
-    Segment,
-    q_sequence_utility,
-)
+from .core import ExternalUtilityTable, Item, QSequenceDatabase
 from .indexes import IChain, SIL
 
 
@@ -73,64 +66,41 @@ class Threshold:
         return bound < self.least_admitted
 
 
-def swu_per_item(db: QSequenceDatabase, eut: ExternalUtilityTable) -> dict[Item, int]:
-    """SWU of every item present in the database."""
+def swu_per_item(
+    db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item] = frozenset()
+) -> dict[Item, int]:
+    """SWU of every surviving item; a sequence counts only its surviving q-items."""
     swu: dict[Item, int] = {}
     for seq in db.sequences:
-        total = q_sequence_utility(seq, eut)
-        for item in {q.item for _, q in seq.iter_slots()}:
+        total = 0
+        items = set()
+        for _, q in seq.iter_slots():
+            if q.item not in deleted:
+                total += q.quantity * eut.weight(q.item)
+                items.add(q.item)
+        for item in items:
             swu[item] = swu.get(item, 0) + total
     return swu
 
 
 class GuipResult(NamedTuple):
-    database: QSequenceDatabase
     deleted_items: frozenset[Item]
     rounds: int
-
-
-def _delete_items(db: QSequenceDatabase, doomed: set[Item]) -> QSequenceDatabase:
-    """Drop the doomed items; emptied itemsets split segments in place.
-
-    Original positions are preserved, so surviving itemsets around a gap stay
-    non-adjacent and no new contiguous match can appear.
-    """
-    sequences = []
-    for seq in db.sequences:
-        segments: list[Segment] = []
-        run: list[QItemset] = []
-        run_start = 0
-        for seg in seq.segments:
-            for offset, itemset in enumerate(seg.itemsets):
-                kept = tuple(q for q in itemset if q.item not in doomed)
-                if kept:
-                    if not run:
-                        run_start = seg.start + offset
-                    run.append(kept)
-                elif run:
-                    segments.append(Segment(run_start, tuple(run)))
-                    run = []
-            if run:
-                segments.append(Segment(run_start, tuple(run)))
-                run = []
-        if segments:
-            sequences.append(QSequence(seq.sid, tuple(segments)))
-    return QSequenceDatabase(tuple(sequences), db.names)
 
 
 def guip_revise(
     db: QSequenceDatabase, eut: ExternalUtilityTable, threshold: Threshold
 ) -> GuipResult:
-    """Delete items with SWU below threshold, to a fixpoint."""
-    deleted: set[Item] = set()
+    """Items whose SWU over the survivors falls below threshold, to a fixpoint."""
+    deleted: frozenset[Item] = frozenset()
     rounds = 0
     while True:
-        doomed = {item for item, swu in swu_per_item(db, eut).items() if threshold.rejects(swu)}
+        swu = swu_per_item(db, eut, deleted)
+        doomed = {item for item, value in swu.items() if threshold.rejects(value)}
         if not doomed:
-            return GuipResult(db, frozenset(deleted), rounds)
+            return GuipResult(deleted, rounds)
         rounds += 1
         deleted |= doomed
-        db = _delete_items(db, doomed)
 
 
 def _ieu_by_sequence(

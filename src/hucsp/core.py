@@ -7,10 +7,10 @@ itemsets are subsets of *consecutive* host itemsets, and the utility of the
 pattern in that sequence is the maximum over all such placements.
 
 Positions are 1-based throughout.  A sequence is stored as one or more
-segments: runs of consecutive positions separated by gaps.  Freshly parsed
-data always has a single segment starting at position 1; gaps appear only
-when itemsets are deleted during database revision, and matches never cross
-them.
+segments: runs of consecutive positions separated by gaps, and matches never
+cross a gap.  Parsed data always has a single segment starting at position
+1.  Mining never rewrites a database: the items GUIP deletes are left out of
+the index instead, where an itemset that loses all its items becomes a gap.
 
 All utilities are Python ints, so arithmetic is exact at any magnitude.
 """

@@ -36,6 +36,9 @@ from .core import (
 )
 
 _TOKEN = re.compile(r"\S+")
+# Quantities and weights are ASCII digits only; int() alone would also take
+# a sign, underscores and digits of other scripts.
+_DIGITS = "0123456789"
 
 
 class ParseError(ValueError):
@@ -48,17 +51,17 @@ class ParseError(ValueError):
 
 
 def _count_error(text: str, what: str, line: int, column: int) -> ParseError:
-    """The ParseError for a quantity or weight token that int() refused.
+    """The ParseError for a quantity or weight token that is not a count.
 
-    Python refuses to parse ints longer than sys.get_int_max_str_digits()
-    digits (4,300 by default); such a token, like any long malformed one, is
-    reported by its length and a short prefix, not echoed whole.
+    A count is ASCII digits that int() parses.  Python refuses to parse ints
+    longer than sys.get_int_max_str_digits() digits (4,300 by default); such
+    a token, like any long malformed one, is reported by its length and a
+    short prefix, not echoed whole.
     """
-    digits = text[1:] if text[0] in "+-" else text
     limit = sys.get_int_max_str_digits()
-    if digits.isdecimal() and 0 < limit < len(digits):
+    if not text.strip(_DIGITS) and 0 < limit < len(text):
         return ParseError(
-            f"{what} {text[:12]}... has {len(digits)} digits, above the limit of {limit}",
+            f"{what} {text[:12]}... has {len(text)} digits, above the limit of {limit}",
             line,
             column,
         )
@@ -82,6 +85,9 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
         if name in seen:
             raise ParseError(f"duplicate item name {name!r}", lineno, name_col)
         try:
+            # strip() leaves a non-digit wherever the token has one.
+            if weight_text.strip(_DIGITS):
+                raise ValueError
             weight = int(weight_text)
         except ValueError:
             raise _count_error(weight_text, "weight", lineno, weight_col) from None
@@ -128,6 +134,8 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
                 if item is None:
                     raise ParseError(f"unknown item {name!r}", lineno, col)
                 try:
+                    if quantity_text.strip(_DIGITS):
+                        raise ValueError
                     quantity = int(quantity_text)
                 except ValueError:
                     raise _count_error(quantity_text, "quantity", lineno, col) from None
@@ -149,8 +157,8 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
 def serialize_database(db: QSequenceDatabase, eut: ExternalUtilityTable) -> tuple[str, str]:
     """Render (database text, utility-table text); inverse of parse_database.
 
-    Only unrevised databases serialize: the grammar has no syntax for
-    position gaps, so multi-segment sequences are refused.
+    The grammar has no syntax for position gaps, so multi-segment
+    sequences are refused.
     """
     if len(eut.weights) != len(db.names):
         raise ValueError("names and weights must be the same length")

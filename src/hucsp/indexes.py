@@ -1,10 +1,12 @@
 """Sequence information lists and instance chains.
 
 The SIL is a per-sequence mirror of the database that stores, for every
-q-item occurrence, its utility and the remaining utility (total utility of
-everything after it in reading order).  Remaining utilities telescope: each
-entry's remainder equals the next entry's remainder plus the next entry's
-utility, and the last entry's remainder is 0.
+q-item occurrence whose item GUIP did not delete, its utility and the
+remaining utility (total utility of every surviving q-item after it in
+reading order).  Remaining utilities telescope: each entry's remainder
+equals the next entry's remainder plus the next entry's utility, and the
+last entry's remainder is 0.  A position whose items were all deleted is
+left out, which makes it a gap.
 
 An IChain indexes every instance of one pattern: per containing sequence, the
 (ending position, instance utility) pairs in ascending position order.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 from .core import (
     AbsentItemError,
@@ -29,7 +31,6 @@ from .core import (
 
 
 class SILEntry(NamedTuple):
-    item: Item
     utility: int
     remaining: int
 
@@ -39,18 +40,22 @@ class SIL(NamedTuple):
 
     build_sil walks the sequence backwards, so positions are keys in
     descending order; each row lists its items ascending.  A position
-    missing between two keys is a segment gap.
+    missing between two keys is a gap: a segment gap of the database or an
+    itemset whose items were all deleted.
     """
 
     sid: int
     by_position: dict[int, dict[Item, SILEntry]]
 
 
-def build_sil(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[SIL]:
-    """One SIL per sequence, in database order.
+def build_sil(
+    db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item] = frozenset()
+) -> list[SIL]:
+    """One SIL per sequence with a surviving q-item, in database order.
 
-    Each sequence is walked once, backwards, so every entry's remainder is
-    the running total of the utilities already seen.
+    Each sequence is walked once, backwards, skipping deleted items, so
+    every entry's remainder is the running total of the surviving utilities
+    already seen.
     """
     weight_of = dict(enumerate(eut.weights))
     sils = []
@@ -64,11 +69,14 @@ def build_sil(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[SIL]:
                     pos -= 1
                     entries = []
                     for item, quantity in reversed(itemset):
-                        utility = quantity * weight_of[item]
-                        entries.append(SILEntry(item, utility, left))
-                        left += utility
-                    by_position[pos] = {entry.item: entry for entry in reversed(entries)}
-            sils.append(SIL(seq.sid, by_position))
+                        if item not in deleted:
+                            utility = quantity * weight_of[item]
+                            entries.append((item, SILEntry(utility, left)))
+                            left += utility
+                    if entries:
+                        by_position[pos] = dict(reversed(entries))
+            if by_position:
+                sils.append(SIL(seq.sid, by_position))
     except KeyError as e:
         raise AbsentItemError(f"item {e.args[0]} has no external utility") from None
     return sils
@@ -81,7 +89,7 @@ def sil_to_text(sil: SIL, names: tuple[str, ...]) -> str:
     for pos, row in reversed(sil.by_position.items()):
         if previous is not None:
             parts.append("/" if pos == previous + 1 else "//")
-        parts.extend(f"({names[e.item]},{e.utility},{e.remaining})" for e in row.values())
+        parts.extend(f"({names[item]},{e.utility},{e.remaining})" for item, e in row.items())
         previous = pos
     return "".join(parts)
 
@@ -118,7 +126,7 @@ def build_initial_ichains(sils: list[SIL]) -> dict[Item, IChain]:
         last_sid = sil.sid
         in_sequence: defaultdict[Item, list[IChainElement]] = defaultdict(list)
         for pos, row in reversed(sil.by_position.items()):
-            for item, utility, _ in row.values():
+            for item, (utility, _) in row.items():
                 in_sequence[item].append(IChainElement(pos, utility))
         for item, elements in in_sequence.items():
             per_item[item].append(InstanceList(last_sid, tuple(elements)))

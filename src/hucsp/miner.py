@@ -6,9 +6,9 @@ last itemset or by starting a new itemset at the next position.  Each pattern
 is reachable along exactly one path, so nothing is emitted twice.
 
 Pipeline: validate, fix the minimum utility from the original database
-utility, delete hopeless items (SWU, to a fixpoint), build SILs and the
-single-item chains, then grow.  Extensions whose IEU falls below the minimum
-are pruned with their whole subtrees.
+utility, name the hopeless items (SWU, to a fixpoint), build the SILs
+without them and the single-item chains, then grow.  Extensions whose IEU
+falls below the minimum are pruned with their whole subtrees.
 
 A candidate is counted for every single-item pattern surviving deletion and
 for every extension whose IEU gets computed; the effective search rate is
@@ -87,7 +87,6 @@ def recursive_search(
     config: MiningConfig,
     found: dict[Pattern, int],
     counters: SearchCounters,
-    parent_ieu: int | None = None,
 ) -> None:
     """Grow one subtree depth-first, recording qualifying patterns in found.
 
@@ -97,7 +96,7 @@ def recursive_search(
     extensions of one kind are built, with their utilities, by one pass
     over its chain.
     """
-    stack: list[tuple[IChain, int | None]] = [(chain, parent_ieu)]
+    stack: list[tuple[IChain, int | None]] = [(chain, None)]
     while stack:
         prefix, prefix_bound = stack.pop()
         if (
@@ -149,10 +148,10 @@ def mine(
     # must not move the bar.
     threshold = Threshold.from_text(config.xi, db_utility(db, eut))
     if config.enable_guip:
-        revised, deleted, rounds = guip_revise(db, eut, threshold)
+        deleted, rounds = guip_revise(db, eut, threshold)
     else:
-        revised, deleted, rounds = db, frozenset(), 0
-    sils = {sil.sid: sil for sil in build_sil(revised, eut)}
+        deleted, rounds = frozenset(), 0
+    sils = {sil.sid: sil for sil in build_sil(db, eut, deleted)}
     initial = build_initial_ichains(list(sils.values()))
     found: dict[Pattern, int] = {}
     counters = SearchCounters()

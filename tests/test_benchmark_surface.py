@@ -1,8 +1,10 @@
-"""The program surface perfbench/child.py measures: the names it wraps exist and
-one repetition on the worked example writes well-formed measurements."""
+"""The program surface perfbench/child.py measures: the names it wraps exist,
+are called on the worked example, and one repetition writes well-formed
+measurements."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +16,14 @@ import pytest
 from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child_module():
+    path = ROOT / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("mode", ["plain", "trace"])
@@ -41,3 +51,9 @@ def test_child_repetition_on_running_example(tmp_path, mode):
     assert out.read_text(encoding="utf-8") == "a -1 c -1 #UTIL: 36\nb f -1 #UTIL: 27\n"
     if mode == "trace":
         assert record["absent"] == []
+        # A wrapped name that still exists but is no longer called would
+        # silently drop its per-layer metric.
+        child = _child_module()
+        assert set(child.MINER_SPANS) <= spans
+        for name in (*child.MINER_TALLIES, "Threshold.admits"):
+            assert record["tallies"][name][0] > 0, name

@@ -21,7 +21,15 @@ from hucsp.bounds import (
     luip_admits,
     swu_per_item,
 )
-from hucsp.core import db_utility
+from hucsp.core import (
+    AbsentItemError,
+    ExternalUtilityTable,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
+    Segment,
+    db_utility,
+)
 from hucsp.dataio import parse_database
 from hucsp.indexes import build_initial_ichains, build_sil
 
@@ -104,7 +112,7 @@ class TestGUIP:
     def test_quarter_threshold_deletes_nothing(self, running):
         db, eut = running
         result = guip_revise(db, eut, Threshold.from_text("0.25", 106))
-        assert result.database == db
+        assert build_sil(db, eut, result.deleted_items) == build_sil(db, eut)
         assert result.deleted_items == frozenset()
         assert result.rounds == 0
 
@@ -114,7 +122,7 @@ class TestGUIP:
         # round 1: every item except b (SWU 106 >= 106); round 2: b alone
         assert result.deleted_items == {A, B, C, D, E, F}
         assert result.rounds == 2
-        assert result.database.sequences == ()
+        assert build_sil(db, eut, result.deleted_items) == []
 
     def test_zero_threshold_deletes_nothing(self, running):
         db, eut = running
@@ -129,17 +137,25 @@ class TestGUIP:
         result = guip_revise(db, eut, Threshold.from_text("0.4", 361))
         assert result.deleted_items == {2}  # z: SWU 101 < 144.4
         assert result.rounds == 1
-        revised = result.database.sequences[0]
-        assert [(seg.start, len(seg.itemsets)) for seg in revised.segments] == [(1, 1), (3, 1)]
+        revised = build_sil(db, eut, result.deleted_items)
+        # position 2 held only z: it becomes a gap between positions 1 and 3
+        assert list(revised[0].by_position) == [3, 1]
         # the other sequences are untouched
-        assert result.database.sequences[1:] == db.sequences[1:]
+        assert revised[1:] == build_sil(db, eut)[1:]
 
     def test_emptied_sequences_are_dropped(self):
         db, eut = parse_database(
             "z:1 -1 -2\na:90 -1 -2\n", "z 1\na 1\n"
         )
         result = guip_revise(db, eut, Threshold.from_text("0.5", 91))
-        assert [s.sid for s in result.database.sequences] == [1]
+        assert [sil.sid for sil in build_sil(db, eut, result.deleted_items)] == [1]
+
+    @pytest.mark.parametrize("item", [1, 7, -1])
+    def test_item_without_weight(self, item):
+        seq = QSequence(0, (Segment(1, ((QItem(0, 1), QItem(item, 1)),)),))
+        db = QSequenceDatabase((seq,), ("a",))
+        with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
+            guip_revise(db, ExternalUtilityTable((3,)), Threshold.from_text("0.5", 4))
 
     @given(q_databases())
     def test_terminates_within_item_count(self, dbeut):
@@ -148,7 +164,10 @@ class TestGUIP:
         result = guip_revise(db, eut, threshold)
         assert result.rounds <= len(db.names)
         surviving = {
-            q.item for s in result.database.sequences for _, q in s.iter_slots()
+            item
+            for sil in build_sil(db, eut, result.deleted_items)
+            for row in sil.by_position.values()
+            for item in row
         }
         assert not surviving & result.deleted_items
 

@@ -101,6 +101,11 @@ class TestMine:
         assert line.startswith("error: line 1, column 1: quantity ")
         assert f"has 5000 digits, above the limit of {sys.get_int_max_str_digits()}" in line
 
+    def test_quantity_outside_the_format(self, workdir, capsys):
+        (workdir / "db.txt").write_text("a:1_0 -1 -2\n", encoding="utf-8")
+        assert main(_mine_args(workdir)) == 1
+        assert "line 1, column 1: malformed quantity '1_0'" in capsys.readouterr().err
+
     def test_assert_bounds_failure_exits_2(self, workdir, monkeypatch, capsys):
         import hucsp.miner as miner_module
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 import pytest
@@ -101,6 +102,23 @@ class TestParseDatabase:
     def test_error_message_carries_position(self):
         with pytest.raises(ParseError, match=r"line 1, column 5"):
             parse_database("a:2 a:3 -1 -2\n", "a 3\n")
+
+
+class TestCountsAreAsciiDigits:
+    # int() takes each of these; the file format does not define them.
+    UNDEFINED = ["1_0", "+3", "\u0663", "\uff13"]  # ٣ Arabic-Indic, ３ fullwidth
+
+    @pytest.mark.parametrize("text", UNDEFINED)
+    def test_quantity(self, text):
+        with pytest.raises(ParseError, match=re.escape(f"malformed quantity {text!r}")) as err:
+            parse_database(f"a:1 b:{text} -1 -2\n", "a 3\nb 2\n")
+        assert (err.value.line, err.value.column) == (1, 5)
+
+    @pytest.mark.parametrize("text", UNDEFINED)
+    def test_weight(self, text):
+        with pytest.raises(ParseError, match=re.escape(f"malformed weight {text!r}")) as err:
+            parse_utility_table(f"a 1\nb {text}\n")
+        assert (err.value.line, err.value.column) == (2, 3)
 
 
 class TestIntegerDigitLimit:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import A, B, C, D, E, F, q_databases
-from hucsp.bounds import extension_utilizations
+from hucsp.bounds import extension_utilizations, swu_per_item
 from hucsp.core import (
     AbsentItemError,
     ExternalUtilityTable,
@@ -73,9 +73,9 @@ class TestSIL:
             "a:9 -1 b:1 -1 a:9 -1 -2\na:20 c:30 -1 -2\n", "a 10\nb 1\nc 1\n"
         )
         # SWU(b)=181 < 205.5: b goes, splitting the first sequence at position 2
-        revised, deleted, _ = guip_revise(db, eut, Threshold.from_text("0.5", 411))
+        deleted, _ = guip_revise(db, eut, Threshold.from_text("0.5", 411))
         assert deleted == {1}
-        sil = build_sil(revised, eut)[0]
+        sil = build_sil(db, eut, deleted)[0]
         assert sil_to_text(sil, db.names) == "(a,90,90)//(a,90,0)"
 
     @given(q_databases(segmented=True))
@@ -99,7 +99,7 @@ class TestSIL:
         for sil, seq in zip(build_sil(db, eut), db.sequences):
             assert sorted(sil.by_position) == list(seq.positions())
             for pos, row in sil.by_position.items():
-                assert [(e.item, e.utility) for e in row.values()] == [
+                assert [(item, e.utility) for item, e in row.items()] == [
                     (q.item, q.quantity * eut.weights[q.item]) for q in seq.by_position[pos]
                 ]
 
@@ -111,6 +111,43 @@ class TestSIL:
             assert [len(part.split("/")) for part in parts] == [
                 len(seg.itemsets) for seg in seq.segments
             ]
+
+    @given(st.data())
+    def test_deleted_items_are_left_out(self, data):
+        db, eut = data.draw(q_databases(segmented=True))
+        deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
+        sils = {sil.sid: sil for sil in build_sil(db, eut, deleted)}
+        assert set(sils) <= {seq.sid for seq in db.sequences}
+        swu: dict[int, int] = {}
+        for seq in db.sequences:
+            kept = {}
+            for pos, itemset in seq.by_position.items():
+                row = [
+                    (q.item, q.quantity * eut.weights[q.item])
+                    for q in itemset
+                    if q.item not in deleted
+                ]
+                if row:
+                    kept[pos] = row
+            if not kept:
+                assert seq.sid not in sils
+                continue
+            sil = sils[seq.sid]
+            assert sorted(sil.by_position) == sorted(kept)
+            for pos, row in kept.items():
+                assert [(item, e.utility) for item, e in sil.by_position[pos].items()] == row
+            gone = sum(
+                q.quantity * eut.weights[q.item] for _, q in seq.iter_slots() if q.item in deleted
+            )
+            survivors = q_sequence_utility(seq, eut) - gone
+            entries = [e for _, row in sorted(sil.by_position.items()) for e in row.values()]
+            assert entries[0].utility + entries[0].remaining == survivors
+            for cur, nxt in zip(entries, entries[1:]):
+                assert cur.remaining == nxt.utility + nxt.remaining
+            assert entries[-1].remaining == 0
+            for item in {item for row in kept.values() for item, _ in row}:
+                swu[item] = swu.get(item, 0) + survivors
+        assert swu_per_item(db, eut, deleted) == swu
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):

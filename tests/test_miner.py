@@ -5,9 +5,18 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import A, B, C, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, inflating
-from hucsp.core import pattern_length
+from conftest import A, B, C, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, inflating, q_databases
+from hucsp.core import (
+    ExternalUtilityTable,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
+    Segment,
+    pattern_length,
+)
 from hucsp.dataio import parse_database
 from hucsp.miner import (
     BoundViolationError,
@@ -142,6 +151,43 @@ class TestOracleEquivalence:
                 assert dict(got) == {
                     p: u for p, u in dict(oracle_mine(db, eut, xi)).items()
                 }
+
+    @given(
+        q_databases(segmented=True),
+        st.sampled_from(["0", "0.2", "0.4", "0.6", "1"]),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(1, 3)),
+    )
+    def test_segmented_databases(self, dbeut, xi, enable_guip, max_len):
+        db, eut = dbeut
+        config = MiningConfig(xi=xi, enable_guip=enable_guip, max_pattern_length=max_len)
+        got, _ = mine(db, eut, config)
+        assert got == oracle_mine(db, eut, xi, max_len=max_len)
+
+    @pytest.mark.parametrize("xi", ["0.3", "1"])
+    def test_segmented_database_where_guip_deletes(self, xi):
+        a, b, z, c = range(4)
+        first = (
+            Segment(1, ((QItem(a, 50),), (QItem(z, 1),), (QItem(b, 50),))),
+            Segment(5, ((QItem(a, 10), QItem(b, 10)),)),
+        )
+        db = QSequenceDatabase(
+            (
+                QSequence(0, first),
+                QSequence(1, (Segment(1, ((QItem(a, 30), QItem(b, 30)),)),)),
+                QSequence(2, (Segment(2, ((QItem(c, 200),),)),)),
+                QSequence(3, (Segment(1, ((QItem(a, 40),), (QItem(b, 40),))),)),
+            ),
+            ("a", "b", "z", "c"),
+        )
+        eut = ExternalUtilityTable((1, 1, 1, 1))
+        reference = oracle_mine(db, eut, xi)
+        # z's SWU is 121 of 461, below the bar at both thresholds.  <{a},{b}>
+        # is worth 80; closing z's position would make it 180, above 0.3.
+        got, stats = mine(db, eut, MiningConfig(xi=xi))
+        assert stats.guip_deleted_items >= 1
+        assert got == reference
+        assert mine(db, eut, MiningConfig(xi=xi, enable_guip=False))[0] == reference
 
     def test_single_sequence_boundary(self):
         # at xi=1 the whole-sequence pattern exactly meets the bar
