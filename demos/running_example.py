@@ -62,7 +62,7 @@ print(f"  SIL of S1: {sil_to_text(sils[0], db.names)}")
 by_sid = {s.sid: s for s in sils}
 initial = build_initial_ichains(sils)
 chain_a = initial[A]
-print("  IChain of <{a}>:", {f"S{il.sid + 1}": list(map(tuple, il.elements))
+print("  IChain of <{a}>:", {f"S{il.sid + 1}": list(il.elements)
                              for il in chain_a.lists})
 
 print("\n== upper bounds ==")

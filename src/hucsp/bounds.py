@@ -13,7 +13,10 @@ IEU (item-extension utilization) bounds every pattern reachable by growing a
 specific extension: per sequence, the best over qualifying prefix instances
 of prefix utility + extension item utility + remaining utility after the
 item, summed over sequences.  IEU never increases along an extension path,
-so an extension below threshold is dropped with its whole subtree.
+so an extension below threshold is dropped with its whole subtree.  One
+scan of a node's chain bounds all its extensions (the item-extensions at an
+instance are the slice of its SIL row after the prefix's last item), and
+one LUIP call per node and kind keeps those that reach the threshold.
 
 Utilities are exact ints and the threshold an exact rational, so accept
 (utility >= threshold) and prune (bound < threshold) comparisons carry no
@@ -24,11 +27,12 @@ ceiling of the threshold, computed once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Mapping, NamedTuple
 
-from .core import ExternalUtilityTable, Item, QSequenceDatabase
+from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight
 from .indexes import IChain, SIL
 
 
@@ -70,16 +74,22 @@ def swu_per_item(
     db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item] = frozenset()
 ) -> dict[Item, int]:
     """SWU of every surviving item; a sequence counts only its surviving q-items."""
+    weight_of = dict(enumerate(eut.weights))
     swu: dict[Item, int] = {}
-    for seq in db.sequences:
-        total = 0
-        items = set()
-        for _, q in seq.iter_slots():
-            if q.item not in deleted:
-                total += q.quantity * eut.weight(q.item)
-                items.add(q.item)
-        for item in items:
-            swu[item] = swu.get(item, 0) + total
+    try:
+        for seq in db.sequences:
+            total = 0
+            items = set()
+            for seg in seq.segments:
+                for itemset in seg.itemsets:
+                    for item, quantity in itemset:
+                        if item not in deleted:
+                            total += quantity * weight_of[item]
+                            items.add(item)
+            for item in items:
+                swu[item] = swu.get(item, 0) + total
+    except KeyError as e:
+        raise missing_weight(e.args[0]) from None
     return swu
 
 
@@ -109,17 +119,18 @@ def _ieu_by_sequence(
     """Per-sequence IEU of placing item step positions after each instance's end.
 
     A prefix instance qualifies when item occurs there; the bound is instance
-    utility + item utility + remaining utility after the item.
+    utility + item utility + remaining utility after the item.  The reference
+    for extension_utilizations: it scans each row for item and takes every
+    per-sequence maximum, with no slicing and no single-instance shortcut.
     """
     out: dict[int, int] = {}
     for il in prefix.lists:
         by_position = sils[il.sid].by_position
         best = -1
         for epos, utility in il.elements:
-            row = by_position.get(epos + step)
-            entry = row.get(item) if row else None
-            if entry is not None:
-                best = max(best, utility + entry.utility + entry.remaining)
+            for j, gained, remaining in by_position.get(epos + step, ()):
+                if j == item:
+                    best = max(best, utility + gained + remaining)
         if best >= 0:
             out[il.sid] = best
     return out
@@ -150,27 +161,36 @@ def extension_utilizations(
 
     One pass over the chain and SIL computes all sibling bounds at once;
     agrees item-for-item with ieu_i_extension / ieu_s_extension.  The key
-    sets are exactly the candidate extension items.
+    sets are exactly the candidate extension items.  The item-extension
+    candidates at an instance are the slice of its row after the prefix's
+    last item.  A sequence with one instance adds its values straight into
+    the totals; only one with several keeps per-item maxima first.
     """
-    last = prefix.pattern[-1][-1]
+    after_last = (prefix.pattern[-1][-1] + 1,)
     i_totals: dict[Item, int] = {}
     s_totals: dict[Item, int] = {}
-    for il in prefix.lists:
-        by_position = sils[il.sid].by_position
+    for sid, elements in prefix.lists:
+        by_position = sils[sid].by_position
+        if len(elements) == 1:
+            ((epos, utility),) = elements
+            row = by_position[epos]
+            for item, gained, remaining in row[bisect_left(row, after_last) :]:
+                i_totals[item] = i_totals.get(item, 0) + utility + gained + remaining
+            for item, gained, remaining in by_position.get(epos + 1, ()):
+                s_totals[item] = s_totals.get(item, 0) + utility + gained + remaining
+            continue
         i_best: dict[Item, int] = {}
         s_best: dict[Item, int] = {}
-        for epos, utility in il.elements:
-            for item, entry in by_position[epos].items():
-                if item > last:
-                    value = utility + entry.utility + entry.remaining
-                    if value > i_best.get(item, -1):
-                        i_best[item] = value
-            nxt = by_position.get(epos + 1)
-            if nxt:
-                for item, entry in nxt.items():
-                    value = utility + entry.utility + entry.remaining
-                    if value > s_best.get(item, -1):
-                        s_best[item] = value
+        for epos, utility in elements:
+            row = by_position[epos]
+            for item, gained, remaining in row[bisect_left(row, after_last) :]:
+                value = utility + gained + remaining
+                if value > i_best.get(item, -1):
+                    i_best[item] = value
+            for item, gained, remaining in by_position.get(epos + 1, ()):
+                value = utility + gained + remaining
+                if value > s_best.get(item, -1):
+                    s_best[item] = value
         for item, value in i_best.items():
             i_totals[item] = i_totals.get(item, 0) + value
         for item, value in s_best.items():
@@ -178,6 +198,7 @@ def extension_utilizations(
     return i_totals, s_totals
 
 
-def luip_admits(ieu: int, threshold: Threshold) -> bool:
-    """Keep an extension only when its IEU reaches the minimum utility."""
-    return not threshold.rejects(ieu)
+def luip_admits(bounds: Mapping[Item, int], threshold: Threshold) -> list[Item]:
+    """The extensions of one node and kind whose IEU reaches the minimum utility, ascending."""
+    least = threshold.least_admitted
+    return sorted([item for item, ieu in bounds.items() if ieu >= least])

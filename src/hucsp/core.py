@@ -112,8 +112,13 @@ class ExternalUtilityTable:
 
     def weight(self, item: Item) -> int:
         if not 0 <= item < len(self.weights):
-            raise AbsentItemError(f"item {item} has no external utility")
+            raise missing_weight(item)
         return self.weights[item]
+
+
+def missing_weight(item: Item) -> AbsentItemError:
+    """The error for an item the utility table has no weight for."""
+    return AbsentItemError(f"item {item} has no external utility")
 
 
 # The collector's on/off switch is process-wide, so the pause count is too.
@@ -174,7 +179,18 @@ def q_sequence_utility(seq: QSequence, eut: ExternalUtilityTable) -> int:
 
 
 def db_utility(db: QSequenceDatabase, eut: ExternalUtilityTable) -> int:
-    return sum(q_sequence_utility(seq, eut) for seq in db.sequences)
+    """Total utility of every q-item in the database."""
+    weight_of = dict(enumerate(eut.weights))
+    total = 0
+    try:
+        for seq in db.sequences:
+            for seg in seq.segments:
+                for itemset in seg.itemsets:
+                    for item, quantity in itemset:
+                        total += quantity * weight_of[item]
+    except KeyError as e:
+        raise missing_weight(e.args[0]) from None
+    return total
 
 
 def remaining_utility_after(seq: QSequence, pos: int, item: Item, eut: ExternalUtilityTable) -> int:

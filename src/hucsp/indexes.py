@@ -3,49 +3,59 @@
 The SIL is a per-sequence mirror of the database that stores, for every
 q-item occurrence whose item GUIP did not delete, its utility and the
 remaining utility (total utility of every surviving q-item after it in
-reading order).  Remaining utilities telescope: each entry's remainder
-equals the next entry's remainder plus the next entry's utility, and the
-last entry's remainder is 0.  A position whose items were all deleted is
-left out, which makes it a gap.
+reading order).  Each position holds one row: a tuple of (item, utility,
+remaining) triples in strictly ascending item order, so the items after a
+given one are a slice found by bisection.  Remaining utilities telescope:
+each entry's remainder equals the next entry's remainder plus the next
+entry's utility, and the last entry's remainder is 0.  A position whose
+items were all deleted is left out, which makes it a gap.
 
 An IChain indexes every instance of one pattern: per containing sequence, the
-(ending position, instance utility) pairs in ascending position order.
-Chains for extended patterns are built from the parent chain plus the SIL
-without touching the database again: one pass over a parent chain builds
-the chains of all requested siblings of one kind and their utilities.
+(ending position, instance utility) pairs in ascending position order, as
+plain tuples.  Chains for extended patterns are built from the parent chain
+plus the SIL without touching the database again: one pass over a parent
+chain builds the chains of all requested siblings of one kind and their
+utilities.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 from .core import (
-    AbsentItemError,
     ExternalUtilityTable,
     Item,
     Pattern,
     QSequenceDatabase,
+    missing_weight,
 )
 
-
-class SILEntry(NamedTuple):
-    utility: int
-    remaining: int
+# One position's surviving q-items as (item, utility, remaining), items ascending.
+SILRow = tuple[tuple[Item, int, int], ...]
 
 
 class SIL(NamedTuple):
-    """One sequence's entries: by_position maps position -> item -> entry.
+    """One sequence's rows: by_position maps position -> row.
 
     build_sil walks the sequence backwards, so positions are keys in
-    descending order; each row lists its items ascending.  A position
-    missing between two keys is a gap: a segment gap of the database or an
-    itemset whose items were all deleted.
+    descending order; each row lists its triples by ascending item.  A
+    position missing between two keys is a gap: a segment gap of the
+    database or an itemset whose items were all deleted.
     """
 
     sid: int
-    by_position: dict[int, dict[Item, SILEntry]]
+    by_position: dict[int, SILRow]
+
+
+# A NamedTuple's generated __new__ is a Python function call per object;
+# tuple.__new__ builds the same value from a tuple of its fields without it.
+# On a 20k-sequence database that took about a third off build_sil and off
+# build_initial_ichains.
+_new_sil = partial(tuple.__new__, SIL)
 
 
 def build_sil(
@@ -55,30 +65,32 @@ def build_sil(
 
     Each sequence is walked once, backwards, skipping deleted items, so
     every entry's remainder is the running total of the surviving utilities
-    already seen.
+    already seen.  Itemsets must list their items strictly ascending, as
+    validate requires; the rows keep that order.
     """
     weight_of = dict(enumerate(eut.weights))
     sils = []
     try:
         for seq in db.sequences:
             left = 0
-            by_position: dict[int, dict[Item, SILEntry]] = {}
+            by_position: dict[int, SILRow] = {}
             for seg in reversed(seq.segments):
                 pos = seg.start + len(seg.itemsets)
                 for itemset in reversed(seg.itemsets):
                     pos -= 1
-                    entries = []
+                    row = []
                     for item, quantity in reversed(itemset):
                         if item not in deleted:
                             utility = quantity * weight_of[item]
-                            entries.append((item, SILEntry(utility, left)))
+                            row.append((item, utility, left))
                             left += utility
-                    if entries:
-                        by_position[pos] = dict(reversed(entries))
+                    if row:
+                        row.reverse()
+                        by_position[pos] = tuple(row)
             if by_position:
-                sils.append(SIL(seq.sid, by_position))
+                sils.append(_new_sil((seq.sid, by_position)))
     except KeyError as e:
-        raise AbsentItemError(f"item {e.args[0]} has no external utility") from None
+        raise missing_weight(e.args[0]) from None
     return sils
 
 
@@ -89,19 +101,20 @@ def sil_to_text(sil: SIL, names: tuple[str, ...]) -> str:
     for pos, row in reversed(sil.by_position.items()):
         if previous is not None:
             parts.append("/" if pos == previous + 1 else "//")
-        parts.extend(f"({names[item]},{e.utility},{e.remaining})" for item, e in row.items())
+        parts.extend(f"({names[item]},{utility},{remaining})" for item, utility, remaining in row)
         previous = pos
     return "".join(parts)
 
 
-class IChainElement(NamedTuple):
-    epos: int
-    utility: int
-
-
 class InstanceList(NamedTuple):
+    """One sequence's instances: (ending position, utility) pairs, positions ascending."""
+
     sid: int
-    elements: tuple[IChainElement, ...]
+    elements: tuple[tuple[int, int], ...]
+
+
+# Built without the generated __new__, as _new_sil is.
+_new_list = partial(tuple.__new__, InstanceList)
 
 
 @dataclass(frozen=True)
@@ -124,12 +137,12 @@ def build_initial_ichains(sils: list[SIL]) -> dict[Item, IChain]:
         if last_sid is not None and sil.sid <= last_sid:
             raise ValueError("SILs must be in ascending sid order")
         last_sid = sil.sid
-        in_sequence: defaultdict[Item, list[IChainElement]] = defaultdict(list)
+        in_sequence: defaultdict[Item, list[tuple[int, int]]] = defaultdict(list)
         for pos, row in reversed(sil.by_position.items()):
-            for item, (utility, _) in row.items():
-                in_sequence[item].append(IChainElement(pos, utility))
+            for item, utility, _ in row:
+                in_sequence[item].append((pos, utility))
         for item, elements in in_sequence.items():
-            per_item[item].append(InstanceList(last_sid, tuple(elements)))
+            per_item[item].append(_new_list((last_sid, tuple(elements))))
     return {item: IChain(((item,),), tuple(per_item[item])) for item in sorted(per_item)}
 
 
@@ -148,26 +161,26 @@ def _extend_ichains(
     totals = dict.fromkeys(wanted, 0)
     for sid, elements in prefix.lists:
         by_position = sils[sid].by_position
-        grown: dict[Item, list[IChainElement]] = {}
+        grown: dict[Item, list[tuple[int, int]]] = {}
         best: dict[Item, int] = {}
         for epos, utility in elements:
             pos = epos + step
             row = by_position.get(pos)
             if row is None:
                 continue
-            for item, entry in row.items():
+            for item, gained, _ in row:
                 if item in wanted:
-                    value = utility + entry.utility
+                    value = utility + gained
                     found = grown.get(item)
                     if found is None:
-                        grown[item] = [IChainElement(pos, value)]
+                        grown[item] = [(pos, value)]
                         best[item] = value
                     else:
-                        found.append(IChainElement(pos, value))
+                        found.append((pos, value))
                         if value > best[item]:
                             best[item] = value
         for item, found in grown.items():
-            lists[item].append(InstanceList(sid, tuple(found)))
+            lists[item].append(_new_list((sid, tuple(found))))
             totals[item] += best[item]
     return [(tuple(lists[item]), totals[item]) for item in items]
 
@@ -207,6 +220,13 @@ def ichain_pattern_utility(chain: IChain) -> int:
     """Pattern utility from the chain alone: per-sequence maxima, summed.
 
     The search needs it for the single-item chains only; extended chains
-    carry their utility out of the pass that builds them.
+    carry their utility out of the pass that builds them.  Most sequences
+    hold one instance, whose utility is read without taking a maximum.
     """
-    return sum(max(e.utility for e in il.elements) for il in chain.lists)
+    utility = itemgetter(1)
+    return sum(
+        [
+            elements[0][1] if len(elements) == 1 else max(map(utility, elements))
+            for _, elements in chain.lists
+        ]
+    )

@@ -92,9 +92,9 @@ def recursive_search(
 
     Runs on an explicit stack in exact recursion order (item-extensions
     before sequence-extensions, items ascending) so pattern depth is not
-    limited by the interpreter's call stack.  Each node's admitted
-    extensions of one kind are built, with their utilities, by one pass
-    over its chain.
+    limited by the interpreter's call stack.  One luip_admits call picks
+    each node's admitted extensions of one kind, and one pass over its
+    chain builds them with their utilities.
     """
     stack: list[tuple[IChain, int | None]] = [(chain, None)]
     while stack:
@@ -107,19 +107,19 @@ def recursive_search(
         i_bounds, s_bounds = extension_utilizations(prefix, sils)
         children: list[tuple[IChain, int]] = []
         for bounds_map, extend in ((i_bounds, extend_ichain_i), (s_bounds, extend_ichain_s)):
-            admitted = []
-            for item in sorted(bounds_map):
-                counters.candidates += 1
-                ieu = bounds_map[item]
-                if config.assert_bounds and prefix_bound is not None and ieu > prefix_bound:
-                    raise BoundViolationError(
-                        f"IEU grew along an extension: {ieu} > {prefix_bound} "
-                        f"extending {prefix.pattern} with item {item}"
-                    )
-                if config.enable_luip and not luip_admits(ieu, threshold):
-                    counters.luip_pruned += 1
-                    continue
-                admitted.append(item)
+            counters.candidates += len(bounds_map)
+            if config.assert_bounds and prefix_bound is not None:
+                for item, ieu in sorted(bounds_map.items()):
+                    if ieu > prefix_bound:
+                        raise BoundViolationError(
+                            f"IEU grew along an extension: {ieu} > {prefix_bound} "
+                            f"extending {prefix.pattern} with item {item}"
+                        )
+            if config.enable_luip:
+                admitted = luip_admits(bounds_map, threshold)
+                counters.luip_pruned += len(bounds_map) - len(admitted)
+            else:
+                admitted = sorted(bounds_map)
             # Most nodes admit no extension of a kind; skip the pass over the chain.
             if not admitted:
                 continue

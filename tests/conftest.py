@@ -13,7 +13,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hucsp.core import ExternalUtilityTable, QItem, QSequence, QSequenceDatabase, Segment
+from hucsp.core import (
+    ExternalUtilityTable,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
+    Segment,
+    pattern_length,
+)
 from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
 from hucsp.oracle import instance_count
 
@@ -53,6 +60,25 @@ def inflating(extend):
 
     def wrapper(prefix, items, sils):
         return [(child, utility + 10**9) for child, utility in extend(prefix, items, sils)]
+
+    return wrapper
+
+
+def growing(extension_utilizations):
+    """A bound scan that reports IEU 10**9 too high below every prefix of 2+ items.
+
+    Prefixes of one item keep their true bounds, so a child admitted under
+    its true IEU then sees its own extensions' bounds exceed it.
+    """
+
+    def wrapper(prefix, sils):
+        i_map, s_map = extension_utilizations(prefix, sils)
+        if pattern_length(prefix.pattern) < 2:
+            return i_map, s_map
+        return (
+            {item: ieu + 10**9 for item, ieu in i_map.items()},
+            {item: ieu + 10**9 for item, ieu in s_map.items()},
+        )
 
     return wrapper
 

@@ -31,7 +31,7 @@ from hucsp.core import (
     db_utility,
 )
 from hucsp.dataio import parse_database
-from hucsp.indexes import build_initial_ichains, build_sil
+from hucsp.indexes import build_initial_ichains, build_sil, extend_ichain_i, extend_ichain_s
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,6 @@ class TestIEU:
 
     def test_ieu_dominates_extended_utility(self, indexed):
         from hucsp.core import pattern_utility
-        from hucsp.indexes import extend_ichain_i, extend_ichain_s
 
         db, eut, sils, initial = indexed
         for item, chain in initial.items():
@@ -207,7 +206,19 @@ class TestIEU:
     def test_batch_agrees_with_per_item(self, dbeut):
         db, eut = dbeut
         sils = {s.sid: s for s in build_sil(db, eut)}
-        for chain in build_initial_ichains(list(sils.values())).values():
+        for sil in sils.values():
+            for row in sil.by_position.values():
+                # extension_utilizations finds the items after the prefix's
+                # last one by bisection, which needs strictly ascending rows
+                assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
+        chains = list(build_initial_ichains(list(sils.values())).values())
+        for seed in list(chains):
+            # depth 2: prefixes whose last itemset holds two items, and
+            # prefixes with several instances in one sequence
+            i_map, s_map = extension_utilizations(seed, sils)
+            chains += [c for c, _ in extend_ichain_i(seed, sorted(i_map), sils)]
+            chains += [c for c, _ in extend_ichain_s(seed, sorted(s_map), sils)]
+        for chain in chains:
             i_map, s_map = extension_utilizations(chain, sils)
             last = chain.pattern[-1][-1]
             items = range(len(eut.weights))
@@ -224,11 +235,10 @@ class TestIEU:
 class TestLUIP:
     def test_admission(self):
         t = Threshold.from_text("0.25", 106)  # min utility 26.5
-        assert luip_admits(53, t)
-        assert luip_admits(27, t)
-        assert not luip_admits(26, t)
-        assert not luip_admits(20, t)
+        # admitted items come back ascending, whatever the map's order
+        assert luip_admits({E: 53, A: 26, C: 27, B: 20}, t) == [C, E]
+        assert luip_admits({}, t) == []
 
     def test_zero_threshold_admits_everything(self):
         t = Threshold.from_text("0", 106)
-        assert luip_admits(0, t)
+        assert luip_admits({F: 0, A: 0}, t) == [A, F]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT, inflating
+from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT, growing, inflating
 from hucsp.cli import main
 
 
@@ -114,6 +114,18 @@ class TestMine:
         assert main(_mine_args(workdir, "out.txt", "--assert-bounds")) == 2
         assert "assertion failed" in capsys.readouterr().err
 
+    def test_growing_bound_exits_2(self, workdir, monkeypatch, capsys):
+        import hucsp.miner as miner_module
+
+        monkeypatch.setattr(
+            miner_module,
+            "extension_utilizations",
+            growing(miner_module.extension_utilizations),
+        )
+        assert main(_mine_args(workdir, "out.txt", "--assert-bounds")) == 2
+        err = capsys.readouterr().err
+        assert "assertion failed" in err and "IEU grew along an extension" in err
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -140,9 +152,10 @@ class TestCheck:
         import hucsp.miner as miner_module
 
         # flipped comparison: prune exactly what should be kept
-        monkeypatch.setattr(
-            miner_module, "luip_admits", lambda ieu, threshold: threshold.rejects(ieu)
-        )
+        def flipped(bounds, threshold):
+            return sorted(item for item, ieu in bounds.items() if threshold.rejects(ieu))
+
+        monkeypatch.setattr(miner_module, "luip_admits", flipped)
         args = ["check", str(workdir / "db.txt"), str(workdir / "eut.txt"), "--xi", "0.25"]
         assert main(args) == 2
         err = capsys.readouterr().err

@@ -82,6 +82,17 @@ class TestSequenceUtility:
         _, eut = running
         assert db_utility(QSequenceDatabase((), ()), eut) == 0
 
+    @given(q_databases(segmented=True))
+    def test_database_total_sums_the_sequences(self, dbeut):
+        db, eut = dbeut
+        assert db_utility(db, eut) == sum(q_sequence_utility(s, eut) for s in db.sequences)
+
+    @pytest.mark.parametrize("item", [1, 7, -1])
+    def test_item_without_weight(self, item):
+        seq = QSequence(0, (Segment(1, ((QItem(0, 1), QItem(item, 1)),)),))
+        with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
+            db_utility(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
+
 
 class TestEndingPositions:
     def test_two_instances(self, running):

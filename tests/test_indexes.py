@@ -39,7 +39,12 @@ def indexed(running):
 
 
 def _elements(chain):
-    return {il.sid: [tuple(e) for e in il.elements] for il in chain.lists}
+    return {il.sid: list(il.elements) for il in chain.lists}
+
+
+def _entries(sil):
+    """(utility, remaining) of every entry in reading order."""
+    return [(u, r) for _, row in sorted(sil.by_position.items()) for _, u, r in row]
 
 
 class TestSIL:
@@ -82,16 +87,16 @@ class TestSIL:
     def test_remaining_utilities_telescope(self, dbeut):
         db, eut = dbeut
         for sil, seq in zip(build_sil(db, eut), db.sequences):
-            entries = [e for _, row in sorted(sil.by_position.items()) for e in row.values()]
-            assert entries[0].utility + entries[0].remaining == q_sequence_utility(seq, eut)
-            for cur, nxt in zip(entries, entries[1:]):
-                assert cur.remaining == nxt.utility + nxt.remaining
-            assert entries[-1].remaining == 0
+            entries = _entries(sil)
+            assert sum(entries[0]) == q_sequence_utility(seq, eut)
+            for (_, remaining), (utility, rest) in zip(entries, entries[1:]):
+                assert remaining == utility + rest
+            assert entries[-1][1] == 0
 
     def test_by_position_mirrors_segments(self, indexed):
         _, _, sils, _ = indexed
         assert set(sils[0].by_position) == {1, 2, 3}
-        assert sils[0].by_position[1][B].utility == 4
+        assert sils[0].by_position[1] == ((B, 4, 19), (F, 4, 15))
 
     @given(q_databases(segmented=True))
     def test_by_position_holds_every_q_item(self, dbeut):
@@ -99,7 +104,7 @@ class TestSIL:
         for sil, seq in zip(build_sil(db, eut), db.sequences):
             assert sorted(sil.by_position) == list(seq.positions())
             for pos, row in sil.by_position.items():
-                assert [(item, e.utility) for item, e in row.items()] == [
+                assert [(item, utility) for item, utility, _ in row] == [
                     (q.item, q.quantity * eut.weights[q.item]) for q in seq.by_position[pos]
                 ]
 
@@ -135,16 +140,16 @@ class TestSIL:
             sil = sils[seq.sid]
             assert sorted(sil.by_position) == sorted(kept)
             for pos, row in kept.items():
-                assert [(item, e.utility) for item, e in sil.by_position[pos].items()] == row
+                assert [(item, utility) for item, utility, _ in sil.by_position[pos]] == row
             gone = sum(
                 q.quantity * eut.weights[q.item] for _, q in seq.iter_slots() if q.item in deleted
             )
             survivors = q_sequence_utility(seq, eut) - gone
-            entries = [e for _, row in sorted(sil.by_position.items()) for e in row.values()]
-            assert entries[0].utility + entries[0].remaining == survivors
-            for cur, nxt in zip(entries, entries[1:]):
-                assert cur.remaining == nxt.utility + nxt.remaining
-            assert entries[-1].remaining == 0
+            entries = _entries(sil)
+            assert sum(entries[0]) == survivors
+            for (_, remaining), (utility, rest) in zip(entries, entries[1:]):
+                assert remaining == utility + rest
+            assert entries[-1][1] == 0
             for item in {item for row in kept.values() for item, _ in row}:
                 swu[item] = swu.get(item, 0) + survivors
         assert swu_per_item(db, eut, deleted) == swu
@@ -275,9 +280,9 @@ class TestChainsAgreeWithCalculus:
             assert {il.sid for il in chain.lists} == contained
             for il in chain.lists:
                 seq = seqs[il.sid]
-                assert tuple(e.epos for e in il.elements) == ending_positions(pattern, seq)
-                for e in il.elements:
-                    assert e.utility == instance_utility(pattern, e.epos, seq, eut)
+                assert tuple(epos for epos, _ in il.elements) == ending_positions(pattern, seq)
+                for epos, value in il.elements:
+                    assert value == instance_utility(pattern, epos, seq, eut)
             assert ichain_pattern_utility(chain) == pattern_utility(pattern, db, eut)
 
     @given(q_databases(segmented=True))
@@ -299,9 +304,11 @@ class TestChainsAgreeWithCalculus:
             ]
             for il in ext.lists:
                 seq = seqs[il.sid]
-                assert tuple(e.epos for e in il.elements) == ending_positions(ext.pattern, seq)
-                for e in il.elements:
-                    assert e.utility == instance_utility(ext.pattern, e.epos, seq, eut)
+                assert tuple(epos for epos, _ in il.elements) == ending_positions(
+                    ext.pattern, seq
+                )
+                for epos, value in il.elements:
+                    assert value == instance_utility(ext.pattern, epos, seq, eut)
             assert utility == pattern_utility(ext.pattern, db, eut)
 
         for chain in build_initial_ichains(sils).values():

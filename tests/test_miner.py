@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import A, B, C, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, inflating, q_databases
+from conftest import (
+    A,
+    B,
+    C,
+    F,
+    RUNNING_DB_TEXT,
+    RUNNING_EUT_TEXT,
+    growing,
+    inflating,
+    q_databases,
+)
+from hucsp.bounds import Threshold, guip_revise
 from hucsp.core import (
     ExternalUtilityTable,
     QItem,
     QSequence,
     QSequenceDatabase,
     Segment,
+    db_utility,
     pattern_length,
 )
 from hucsp.dataio import parse_database
@@ -26,6 +39,61 @@ from hucsp.miner import (
     mine,
 )
 from hucsp.oracle import enumerate_patterns, oracle_mine
+
+
+@st.composite
+def databases_where_guip_deletes(draw):
+    """A segmented database with an item z that GUIP deletes at xi >= 0.2.
+
+    z (weight 1, quantity 1) fills an itemset of its own in a segment of one
+    sequence S, after the segment's first itemset and, when the segment has
+    two or more, before its last.  An added last sequence
+    repeats that segment without z, quantities scaled up, so SWU(z), at
+    most u(S) + 1, stays below a fifth of u(D), while the repeated segment
+    clears every threshold drawn with it.  Deleting z must leave a gap:
+    closing it up would let S add the repeated segment's pattern too.
+    """
+    db, eut = draw(q_databases(segmented=True))
+    z = len(eut.weights)
+    seq = draw(st.sampled_from(db.sequences))
+    k = draw(st.integers(0, len(seq.segments) - 1))
+    seg = seq.segments[k]
+    at = draw(st.integers(1, max(1, len(seg.itemsets) - 1)))
+    segments = (
+        *seq.segments[:k],
+        Segment(seg.start, (*seg.itemsets[:at], (QItem(z, 1),), *seg.itemsets[at:])),
+        *(Segment(later.start + 1, later.itemsets) for later in seq.segments[k + 1 :]),
+    )
+    scale = 10 * (db_utility(db, eut) + 2)
+    heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seg.itemsets)
+    sequences = tuple(QSequence(s.sid, segments) if s is seq else s for s in db.sequences)
+    return (
+        QSequenceDatabase(
+            (*sequences, QSequence(len(sequences), (Segment(1, heavy),))), (*db.names, "z")
+        ),
+        ExternalUtilityTable((*eut.weights, 1)),
+    )
+
+
+@st.composite
+def huge_quantity_databases(draw):
+    """Segmented databases whose every quantity is at least 10**30."""
+    db, eut = draw(q_databases(segmented=True))
+
+    def huge(qitem):
+        return QItem(qitem.item, qitem.quantity * 10**30 + draw(st.integers(0, 10**30)))
+
+    sequences = tuple(
+        QSequence(
+            seq.sid,
+            tuple(
+                Segment(seg.start, tuple(tuple(map(huge, s)) for s in seg.itemsets))
+                for seg in seq.segments
+            ),
+        )
+        for seq in db.sequences
+    )
+    return QSequenceDatabase(sequences, db.names), eut
 
 
 class TestRunningExample:
@@ -140,6 +208,22 @@ class TestValidationAndAsserts:
         with pytest.raises(BoundViolationError, match="utility exceeds its extension bound"):
             mine(db, eut, MiningConfig(xi="0.25", assert_bounds=True))
 
+    def test_assert_bounds_detects_growing_ieu(self, running, monkeypatch):
+        import hucsp.miner as miner_module
+
+        db, eut = running
+        monkeypatch.setattr(
+            miner_module,
+            "extension_utilizations",
+            growing(miner_module.extension_utilizations),
+        )
+        with pytest.raises(BoundViolationError, match=r"IEU grew along an extension: \d+ > \d+"):
+            mine(db, eut, MiningConfig(xi="0.25", assert_bounds=True))
+        # the check runs only when asked: unchecked, the inflated bounds
+        # merely prune less
+        results, _ = mine(db, eut, MiningConfig(xi="0.25"))
+        assert results == [(((A,), (C,)), 36), (((B, F),), 27)]
+
 
 class TestOracleEquivalence:
     def test_small_corpus_all_thresholds(self, corpus30):
@@ -188,6 +272,35 @@ class TestOracleEquivalence:
         assert stats.guip_deleted_items >= 1
         assert got == reference
         assert mine(db, eut, MiningConfig(xi=xi, enable_guip=False))[0] == reference
+
+    @given(databases_where_guip_deletes(), st.sampled_from(["0.2", "0.4", "0.6"]))
+    def test_forced_deletion_leaves_a_gap(self, dbeut, xi):
+        db, eut = dbeut
+        z = len(eut.weights) - 1
+        assert z in guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut))).deleted_items
+        got, _ = mine(db, eut, MiningConfig(xi=xi))
+        assert got == oracle_mine(db, eut, xi)
+
+    @given(
+        huge_quantity_databases(),
+        st.sampled_from(["0", "0.2", "0.4", "0.6", "1"]),
+        st.booleans(),
+    )
+    def test_quantities_beyond_10_to_the_30(self, dbeut, xi, enable_guip):
+        db, eut = dbeut
+        got, _ = mine(db, eut, MiningConfig(xi=xi, enable_guip=enable_guip))
+        assert got == oracle_mine(db, eut, xi)
+
+    @given(q_databases(segmented=True), st.data())
+    def test_threshold_exactly_at_a_pattern_utility(self, dbeut, data):
+        db, eut = dbeut
+        universe = enumerate_patterns(db, eut)
+        pattern = data.draw(st.sampled_from(sorted(universe)))
+        # xi = u(P)/u(D) exactly, as fraction text: P sits on the bar
+        xi = str(Fraction(universe[pattern], db_utility(db, eut)))
+        got, _ = mine(db, eut, MiningConfig(xi=xi))
+        assert dict(got)[pattern] == universe[pattern]
+        assert got == oracle_mine(db, eut, xi)
 
     def test_single_sequence_boundary(self):
         # at xi=1 the whole-sequence pattern exactly meets the bar
