@@ -80,12 +80,11 @@ def swu_per_item(
         for seq in db.sequences:
             total = 0
             items = set()
-            for seg in seq.segments:
-                for itemset in seg.itemsets:
-                    for item, quantity in itemset:
-                        if item not in deleted:
-                            total += quantity * weight_of[item]
-                            items.add(item)
+            for itemset in seq.itemsets:
+                for item, quantity in itemset:
+                    if item not in deleted:
+                        total += quantity * weight_of[item]
+                        items.add(item)
             for item in items:
                 swu[item] = swu.get(item, 0) + total
     except KeyError as e:

@@ -6,11 +6,10 @@ shared across the database.  A pattern matches a q-sequence only where its
 itemsets are subsets of *consecutive* host itemsets, and the utility of the
 pattern in that sequence is the maximum over all such placements.
 
-Positions are 1-based throughout.  A sequence is stored as one or more
-segments: runs of consecutive positions separated by gaps, and matches never
-cross a gap.  Parsed data always has a single segment starting at position
-1.  Mining never rewrites a database: the items GUIP deletes are left out of
-the index instead, where an itemset that loses all its items becomes a gap.
+Positions are 1-based throughout: itemset k of a sequence sits at position
+k.  Mining never rewrites a database: the items GUIP deletes are left out of
+the index instead, where an itemset that loses all its items becomes a gap
+that matches never cross.
 
 All utilities are Python ints, so arithmetic is exact at any magnitude.
 """
@@ -21,7 +20,6 @@ import gc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 Item = int
@@ -45,50 +43,18 @@ class QItem(NamedTuple):
 QItemset = tuple[QItem, ...]
 
 
-class Segment(NamedTuple):
-    start: int  # 1-based position of the first itemset
-    itemsets: tuple[QItemset, ...]
-
-
 @dataclass(frozen=True)
 class QSequence:
-    """One q-sequence, addressable by its original 1-based positions."""
+    """One q-sequence: itemset k sits at 1-based position k."""
 
     sid: int
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        least_start = 1
-        for seg in self.segments:
-            if not seg.itemsets:
-                raise ValueError(f"sequence {self.sid}: empty segment")
-            if seg.start < least_start:
-                raise ValueError(
-                    f"sequence {self.sid}: segment at {seg.start} overlaps or "
-                    f"touches the previous one (segments must be separated by a gap)"
-                )
-            # One missing position at least, so a gap never reads as adjacent.
-            least_start = seg.start + len(seg.itemsets) + 1
-
-    @cached_property
-    def by_position(self) -> dict[int, QItemset]:
-        out: dict[int, QItemset] = {}
-        for seg in self.segments:
-            for offset, itemset in enumerate(seg.itemsets):
-                out[seg.start + offset] = itemset
-        return out
-
-    def positions(self) -> Iterator[int]:
-        for seg in self.segments:
-            yield from range(seg.start, seg.start + len(seg.itemsets))
+    itemsets: tuple[QItemset, ...]
 
     def iter_slots(self) -> Iterator[tuple[int, QItem]]:
         """Yield (position, q-item) pairs in canonical reading order."""
-        for seg in self.segments:
-            for offset, itemset in enumerate(seg.itemsets):
-                pos = seg.start + offset
-                for qitem in itemset:
-                    yield pos, qitem
+        for pos, itemset in enumerate(self.itemsets, start=1):
+            for qitem in itemset:
+                yield pos, qitem
 
 
 @dataclass(frozen=True)
@@ -159,10 +125,9 @@ def collector_paused() -> Iterator[None]:
 
 def item_utility(item: Item, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Utility of one q-item occurrence: quantity times external utility."""
-    itemset = seq.by_position.get(pos)
-    if itemset is None:
+    if not 1 <= pos <= len(seq.itemsets):
         raise IndexError(f"sequence {seq.sid} has no position {pos}")
-    for qitem in itemset:
+    for qitem in seq.itemsets[pos - 1]:
         if qitem.item == item:
             return qitem.quantity * eut.weight(item)
     raise AbsentItemError(f"item {item} absent at position {pos} of sequence {seq.sid}")
@@ -184,10 +149,9 @@ def db_utility(db: QSequenceDatabase, eut: ExternalUtilityTable) -> int:
     total = 0
     try:
         for seq in db.sequences:
-            for seg in seq.segments:
-                for itemset in seg.itemsets:
-                    for item, quantity in itemset:
-                        total += quantity * weight_of[item]
+            for itemset in seq.itemsets:
+                for item, quantity in itemset:
+                    total += quantity * weight_of[item]
     except KeyError as e:
         raise missing_weight(e.args[0]) from None
     return total
@@ -197,7 +161,7 @@ def remaining_utility_after(seq: QSequence, pos: int, item: Item, eut: ExternalU
     """Utility of everything strictly after item at pos in reading order.
 
     Covers the rest of the itemset at pos (larger item ids) plus all later
-    itemsets, across segment gaps.
+    itemsets.
     """
     # Validates the anchor slot first so a bad query cannot return 0.
     item_utility(item, pos, seq, eut)
@@ -217,16 +181,15 @@ def ending_positions(pattern: Pattern, seq: QSequence) -> tuple[int, ...]:
     """All positions where an instance of the pattern ends.
 
     An instance aligns the pattern's m itemsets with m consecutive host
-    itemsets inside one segment; the ending position is the 1-based position
-    of the host itemset matched by the pattern's last itemset.
+    itemsets; the ending position is the 1-based position of the host
+    itemset matched by the pattern's last itemset.
     """
     check_pattern(pattern)
     m = len(pattern)
     out: list[int] = []
-    for seg in seq.segments:
-        for end in range(m - 1, len(seg.itemsets)):
-            if all(_subset_at(pattern[k], seg.itemsets[end - m + 1 + k]) for k in range(m)):
-                out.append(seg.start + end)
+    for end in range(m - 1, len(seq.itemsets)):
+        if all(_subset_at(pattern[k], seq.itemsets[end - m + 1 + k]) for k in range(m)):
+            out.append(end + 1)
     return tuple(out)
 
 

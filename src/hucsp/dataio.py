@@ -31,7 +31,6 @@ from .core import (
     QSequence,
     QSequenceDatabase,
     ResultSet,
-    Segment,
     collector_paused,
 )
 
@@ -150,16 +149,12 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
         if not ended:
             last_token, last_col = tokens[-1]
             raise ParseError("sequence not terminated by -2", lineno, last_col + len(last_token))
-        sequences.append(QSequence(len(sequences), (Segment(1, tuple(itemsets)),)))
+        sequences.append(QSequence(len(sequences), tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), eut
 
 
 def serialize_database(db: QSequenceDatabase, eut: ExternalUtilityTable) -> tuple[str, str]:
-    """Render (database text, utility-table text); inverse of parse_database.
-
-    The grammar has no syntax for position gaps, so multi-segment
-    sequences are refused.
-    """
+    """Render (database text, utility-table text); inverse of parse_database."""
     if len(eut.weights) != len(db.names):
         raise ValueError("names and weights must be the same length")
     eut_lines = [f"{name} {weight}" for name, weight in zip(db.names, eut.weights)]
@@ -167,10 +162,8 @@ def serialize_database(db: QSequenceDatabase, eut: ExternalUtilityTable) -> tupl
     for expected_sid, seq in enumerate(db.sequences):
         if seq.sid != expected_sid:
             raise ValueError("cannot serialize a database with sid gaps")
-        if len(seq.segments) != 1 or seq.segments[0].start != 1:
-            raise ValueError("cannot serialize a revised (multi-segment) database")
         parts = []
-        for itemset in seq.segments[0].itemsets:
+        for itemset in seq.itemsets:
             parts.extend(f"{db.names[q.item]}:{q.quantity}" for q in itemset)
             parts.append("-1")
         parts.append("-2")
@@ -231,7 +224,7 @@ def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, Exte
             size = rng.randint(1, top_size)
             members = sorted(rng.sample(range(params.distinct_items), size))
             itemsets.append(tuple(QItem(i, rng.randint(1, params.max_quantity)) for i in members))
-        sequences.append(QSequence(sid, (Segment(1, tuple(itemsets)),)))
+        sequences.append(QSequence(sid, tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), ExternalUtilityTable(weights)
 
 
@@ -242,24 +235,23 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
         if weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
     for seq in db.sequences:
-        for seg in seq.segments:
-            for pos, itemset in enumerate(seg.itemsets, start=seg.start):
-                if not itemset:
-                    problems.append(f"sequence {seq.sid}, position {pos}: empty itemset")
-                last = -1
-                for qitem in itemset:
-                    if qitem.item <= last:
-                        problems.append(
-                            f"sequence {seq.sid}, position {pos}: items not strictly ascending"
-                        )
-                    last = qitem.item
-                    if qitem.quantity < 1:
-                        problems.append(
-                            f"sequence {seq.sid}, position {pos}: quantity must be >= 1"
-                        )
-                    if qitem.item < 0 or qitem.item >= len(eut.weights):
-                        problems.append(
-                            f"sequence {seq.sid}, position {pos}: "
-                            f"missing external utility for item {qitem.item}"
-                        )
+        for pos, itemset in enumerate(seq.itemsets, start=1):
+            if not itemset:
+                problems.append(f"sequence {seq.sid}, position {pos}: empty itemset")
+            last = -1
+            for qitem in itemset:
+                if qitem.item <= last:
+                    problems.append(
+                        f"sequence {seq.sid}, position {pos}: items not strictly ascending"
+                    )
+                last = qitem.item
+                if qitem.quantity < 1:
+                    problems.append(
+                        f"sequence {seq.sid}, position {pos}: quantity must be >= 1"
+                    )
+                if qitem.item < 0 or qitem.item >= len(eut.weights):
+                    problems.append(
+                        f"sequence {seq.sid}, position {pos}: "
+                        f"missing external utility for item {qitem.item}"
+                    )
     return problems

@@ -43,8 +43,8 @@ class SIL(NamedTuple):
 
     build_sil walks the sequence backwards, so positions are keys in
     descending order; each row lists its triples by ascending item.  A
-    position missing between two keys is a gap: a segment gap of the
-    database or an itemset whose items were all deleted.
+    position missing between two keys is a gap: an itemset whose items were
+    all deleted.
     """
 
     sid: int
@@ -74,19 +74,18 @@ def build_sil(
         for seq in db.sequences:
             left = 0
             by_position: dict[int, SILRow] = {}
-            for seg in reversed(seq.segments):
-                pos = seg.start + len(seg.itemsets)
-                for itemset in reversed(seg.itemsets):
-                    pos -= 1
-                    row = []
-                    for item, quantity in reversed(itemset):
-                        if item not in deleted:
-                            utility = quantity * weight_of[item]
-                            row.append((item, utility, left))
-                            left += utility
-                    if row:
-                        row.reverse()
-                        by_position[pos] = tuple(row)
+            pos = len(seq.itemsets)
+            for itemset in reversed(seq.itemsets):
+                row = []
+                for item, quantity in reversed(itemset):
+                    if item not in deleted:
+                        utility = quantity * weight_of[item]
+                        row.append((item, utility, left))
+                        left += utility
+                if row:
+                    row.reverse()
+                    by_position[pos] = tuple(row)
+                pos -= 1
             if by_position:
                 sils.append(_new_sil((seq.sid, by_position)))
     except KeyError as e:
@@ -208,7 +207,7 @@ def extend_ichain_s(
     """Chain and utility of each pattern with {item} appended as a new itemset.
 
     An instance extends only when the position after its ending position
-    exists (same segment, contiguity).  Results follow the order of items.
+    is in the SIL, not a gap.  Results follow the order of items.
     """
     return [
         (IChain(prefix.pattern + ((item,),), lists), utility)

@@ -1,10 +1,10 @@
 """Brute-force reference miner for small databases.
 
 Enumerates every contiguous pattern occurrence directly from the containment
-definition: for each sequence, each window of consecutive itemsets inside one
-segment, and each choice of a nonempty subset per window itemset.  Utilities
-are recomputed from quantities and weights on the spot, keeping this path
-independent of the index structures and bounds the real miner relies on.
+definition: for each sequence, each window of consecutive itemsets, and each
+choice of a nonempty subset per window itemset.  Utilities are recomputed
+from quantities and weights on the spot, keeping this path independent of
+the index structures and bounds the real miner relies on.
 
 Exponential in itemset width by construction; a work estimate is checked
 against a cap before enumerating so oversized inputs fail fast instead of
@@ -14,7 +14,6 @@ hanging.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from .bounds import Threshold
 from .core import (
@@ -38,17 +37,16 @@ def instance_count(db: QSequenceDatabase) -> int:
     """Exact number of pattern occurrences enumeration would visit.
 
     Per window of consecutive itemsets with sizes s1..sw this is the product
-    of (2^si - 1) subset choices, summed over all windows of all segments.
+    of (2^si - 1) subset choices, summed over all windows of all sequences.
     """
     total = 0
     for seq in db.sequences:
-        for seg in seq.segments:
-            factors = [2 ** len(itemset) - 1 for itemset in seg.itemsets]
-            for start in range(len(factors)):
-                product = 1
-                for factor in factors[start:]:
-                    product *= factor
-                    total += product
+        factors = [2 ** len(itemset) - 1 for itemset in seq.itemsets]
+        for start in range(len(factors)):
+            product = 1
+            for factor in factors[start:]:
+                product *= factor
+                total += product
     return total
 
 
@@ -83,37 +81,33 @@ def enumerate_patterns(
     universe: dict[Pattern, int] = {}
     for seq in db.sequences:
         per_seq: dict[Pattern, int] = {}
-        for seg in seq.segments:
-            choices = [_itemset_choices(itemset, eut) for itemset in seg.itemsets]
-            for start in range(len(choices)):
-                frontier: list[tuple[Pattern, int, int]] = [((), 0, 0)]
-                for step_choices in choices[start:]:
-                    grown: list[tuple[Pattern, int, int]] = []
-                    for pattern, utility, size in frontier:
-                        for items, add_utility, add_size in step_choices:
-                            new_size = size + add_size
-                            if max_len is not None and new_size > max_len:
-                                continue
-                            new_pattern = pattern + (items,)
-                            new_utility = utility + add_utility
-                            best = per_seq.get(new_pattern)
-                            if best is None or new_utility > best:
-                                per_seq[new_pattern] = new_utility
-                            grown.append((new_pattern, new_utility, new_size))
-                    if not grown:
-                        break
-                    frontier = grown
+        choices = [_itemset_choices(itemset, eut) for itemset in seq.itemsets]
+        for start in range(len(choices)):
+            frontier: list[tuple[Pattern, int, int]] = [((), 0, 0)]
+            for step_choices in choices[start:]:
+                grown: list[tuple[Pattern, int, int]] = []
+                for pattern, utility, size in frontier:
+                    for items, add_utility, add_size in step_choices:
+                        new_size = size + add_size
+                        if max_len is not None and new_size > max_len:
+                            continue
+                        new_pattern = pattern + (items,)
+                        new_utility = utility + add_utility
+                        best = per_seq.get(new_pattern)
+                        if best is None or new_utility > best:
+                            per_seq[new_pattern] = new_utility
+                        grown.append((new_pattern, new_utility, new_size))
+                if not grown:
+                    break
+                frontier = grown
         for pattern, utility in per_seq.items():
             universe[pattern] = universe.get(pattern, 0) + utility
     return universe
 
 
-def select_high_utility(
-    universe: dict[Pattern, int] | Iterable[tuple[Pattern, int]], threshold: Threshold
-) -> ResultSet:
+def select_high_utility(universe: dict[Pattern, int], threshold: Threshold) -> ResultSet:
     """Filter a pattern universe by threshold; canonical order."""
-    pairs = universe.items() if isinstance(universe, dict) else universe
-    return sort_results((p, u) for p, u in pairs if threshold.admits(u))
+    return sort_results((p, u) for p, u in universe.items() if threshold.admits(u))
 
 
 def oracle_mine(

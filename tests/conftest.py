@@ -18,7 +18,6 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
-    Segment,
     pattern_length,
 )
 from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
@@ -129,22 +128,13 @@ def _hyp_itemset(draw, n_items: int, max_size: int):
 
 
 @st.composite
-def q_databases(draw, segmented: bool = False):
-    """Small random databases; segmented=True also draws position gaps."""
+def q_databases(draw):
+    """Small random databases: <= 4 sequences of <= 4 itemsets over <= 5 items."""
     n_items = draw(st.integers(1, 5))
     eut = ExternalUtilityTable(tuple(draw(st.integers(1, 5)) for _ in range(n_items)))
     names = tuple(f"i{k}" for k in range(n_items))
     sequences = []
     for sid in range(draw(st.integers(1, 4))):
-        n_segments = draw(st.integers(1, 2)) if segmented else 1
-        segments = []
-        min_start = 1
-        for _ in range(n_segments):
-            start = min_start + (draw(st.integers(0, 2)) if segmented else 0)
-            itemsets = tuple(
-                _hyp_itemset(draw, n_items, 3) for _ in range(draw(st.integers(1, 3)))
-            )
-            segments.append(Segment(start, itemsets))
-            min_start = start + len(itemsets) + 1  # at least one missing position
-        sequences.append(QSequence(sid, tuple(segments)))
+        itemsets = tuple(_hyp_itemset(draw, n_items, 3) for _ in range(draw(st.integers(1, 4))))
+        sequences.append(QSequence(sid, itemsets))
     return QSequenceDatabase(tuple(sequences), names), eut

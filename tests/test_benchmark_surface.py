@@ -26,7 +26,7 @@ def _child_module():
     return module
 
 
-@pytest.mark.parametrize("mode", ["plain", "trace"])
+@pytest.mark.parametrize("mode", ["plain", "trace", "memory"])
 def test_child_repetition_on_running_example(tmp_path, mode):
     db, eut = tmp_path / "db.txt", tmp_path / "eut.txt"
     out, measured = tmp_path / "out.txt", tmp_path / "measure.json"
@@ -39,8 +39,6 @@ def test_child_repetition_on_running_example(tmp_path, mode):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(measured.read_text(encoding="utf-8"))
     assert record["code"] == 0
-    spans = {span[0] for span in record["spans"]}
-    assert {"_read_text", "parse_database", "mine", "serialize_results"} <= spans
     assert record["stats"] == {
         "candidates": 65,
         "hucsps": 2,
@@ -49,11 +47,19 @@ def test_child_repetition_on_running_example(tmp_path, mode):
         "luip_pruned": 54,
     }
     assert out.read_text(encoding="utf-8") == "a -1 c -1 #UTIL: 36\nb f -1 #UTIL: 27\n"
+    child = _child_module()
+    if mode == "memory":
+        # Memory mode wraps only the phases it measures and records no spans.
+        assert record["absent"] == []
+        for name in child.MEMORY_PHASES:
+            assert record["peaks"][name] > 0, name
+        return
+    spans = {span[0] for span in record["spans"]}
+    assert {"_read_text", "parse_database", "mine", "serialize_results"} <= spans
     if mode == "trace":
         assert record["absent"] == []
         # A wrapped name that still exists but is no longer called would
         # silently drop its per-layer metric.
-        child = _child_module()
         assert set(child.MINER_SPANS) <= spans
         for name in (*child.MINER_TALLIES, "Threshold.admits"):
             assert record["tallies"][name][0] > 0, name

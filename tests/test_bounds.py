@@ -27,7 +27,6 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
-    Segment,
     db_utility,
 )
 from hucsp.dataio import parse_database
@@ -93,7 +92,7 @@ class TestSWU:
         assert swu[D] == 58
         assert swu == {A: 85, B: 106, C: 87, D: 58, E: 62, F: 88}
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_never_below_any_pattern_utility_of_the_item(self, dbeut):
         from hucsp.core import pattern_utility, q_sequence_utility
 
@@ -152,7 +151,7 @@ class TestGUIP:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(0, (Segment(1, ((QItem(0, 1), QItem(item, 1)),)),))
+        seq = QSequence(0, ((QItem(0, 1), QItem(item, 1)),))
         db = QSequenceDatabase((seq,), ("a",))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             guip_revise(db, ExternalUtilityTable((3,)), Threshold.from_text("0.5", 4))
@@ -202,7 +201,7 @@ class TestIEU:
             for j, (ext, _) in zip(s_items, extend_ichain_s(chain, s_items, sils)):
                 assert pattern_utility(ext.pattern, db, eut) <= ieu_s_extension(chain, j, sils)
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_batch_agrees_with_per_item(self, dbeut):
         db, eut = dbeut
         sils = {s.sid: s for s in build_sil(db, eut)}

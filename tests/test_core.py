@@ -21,7 +21,6 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
-    Segment,
     collector_paused,
     contains,
     db_utility,
@@ -82,14 +81,14 @@ class TestSequenceUtility:
         _, eut = running
         assert db_utility(QSequenceDatabase((), ()), eut) == 0
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_database_total_sums_the_sequences(self, dbeut):
         db, eut = dbeut
         assert db_utility(db, eut) == sum(q_sequence_utility(s, eut) for s in db.sequences)
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(0, (Segment(1, ((QItem(0, 1), QItem(item, 1)),)),))
+        seq = QSequence(0, ((QItem(0, 1), QItem(item, 1)),))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             db_utility(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 
@@ -108,27 +107,6 @@ class TestEndingPositions:
         db, _ = running
         assert ending_positions(((A,), (B,)), db.sequences[0]) == ()
         assert ending_positions(((A,),), db.sequences[3]) == ()
-
-    def test_gap_blocks_instance(self):
-        seq = QSequence(
-            0,
-            (
-                Segment(1, ((QItem(A, 1),),)),
-                Segment(3, ((QItem(B, 1),),)),
-            ),
-        )
-        # a at 1 and b at 3 are not consecutive positions
-        assert ending_positions(((A,), (B,)), seq) == ()
-        assert ending_positions(((A,),), seq) == (1,)
-        assert ending_positions(((B,),), seq) == (3,)
-
-    @pytest.mark.parametrize(
-        "starts", [(0,), (1, 2), (1, 1), (2, 4, 5)], ids=["first-at-0", "touch", "overlap", "third"]
-    )
-    def test_segments_need_a_gap(self, starts):
-        segments = tuple(Segment(start, ((QItem(k, 1),),)) for k, start in enumerate(starts))
-        with pytest.raises(ValueError, match="separated by a gap"):
-            QSequence(0, segments)
 
     def test_rejects_malformed_pattern(self, running):
         db, _ = running
@@ -191,7 +169,7 @@ class TestRemainingUtility:
         with pytest.raises(AbsentItemError):
             remaining_utility_after(db.sequences[0], 1, A, eut)
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_telescopes(self, dbeut):
         db, eut = dbeut
         for seq in db.sequences:
@@ -208,14 +186,9 @@ class TestContains:
         host = QSequence(
             0,
             (
-                Segment(
-                    1,
-                    (
-                        (QItem(C, 1),),
-                        (QItem(A, 1), QItem(B, 1)),
-                        (QItem(A, 1), QItem(E, 1), QItem(F, 1)),
-                    ),
-                ),
+                (QItem(C, 1),),
+                (QItem(A, 1), QItem(B, 1)),
+                (QItem(A, 1), QItem(E, 1), QItem(F, 1)),
             ),
         )
         assert contains(((A,), (A, F)), host)
@@ -261,15 +234,14 @@ class TestCanonicalOrder:
 
 
 class TestUtilityProperties:
-    @given(q_databases(segmented=True), st.data())
+    @given(q_databases(), st.data())
     def test_pattern_utility_bounded_by_containing_sequences(self, dbeut, data):
         db, eut = dbeut
         seq = data.draw(st.sampled_from(db.sequences))
-        seg = data.draw(st.sampled_from(seq.segments))
-        start = data.draw(st.integers(0, len(seg.itemsets) - 1))
-        end = data.draw(st.integers(start, len(seg.itemsets) - 1))
+        start = data.draw(st.integers(0, len(seq.itemsets) - 1))
+        end = data.draw(st.integers(start, len(seq.itemsets) - 1))
         pattern = []
-        for itemset in seg.itemsets[start : end + 1]:
+        for itemset in seq.itemsets[start : end + 1]:
             size = data.draw(st.integers(1, len(itemset)))
             members = data.draw(
                 st.sampled_from(list(itertools.combinations([q.item for q in itemset], size)))
@@ -281,16 +253,6 @@ class TestUtilityProperties:
             q_sequence_utility(s, eut) for s in db.sequences if contains(pattern, s)
         )
         assert 0 < utility <= ceiling
-
-    @given(q_databases(segmented=True))
-    def test_instances_stay_inside_one_segment(self, dbeut):
-        db, eut = dbeut
-        for seq in db.sequences:
-            present = set(seq.by_position)
-            items = sorted({q.item for _, q in seq.iter_slots()})
-            for first, second in itertools.product(items, repeat=2):
-                for pos in ending_positions(((first,), (second,)), seq):
-                    assert pos in present and pos - 1 in present
 
 
 @pytest.fixture

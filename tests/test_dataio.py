@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 
 from conftest import A, B, C, E, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, q_databases
-from hucsp.core import QItem, QSequence, QSequenceDatabase, Segment, db_utility
+from hucsp.core import QItem, QSequence, QSequenceDatabase, db_utility
 from hucsp.dataio import (
     GeneratorParams,
     ParseError,
@@ -62,9 +62,8 @@ class TestParseDatabase:
         assert len(db.sequences) == 5
         assert db.names == ("a", "b", "c", "d", "e", "f")
         assert [s.sid for s in db.sequences] == [0, 1, 2, 3, 4]
-        assert all(len(s.segments) == 1 and s.segments[0].start == 1 for s in db.sequences)
         assert db_utility(db, eut) == 106
-        assert db.sequences[0].segments[0].itemsets[0] == (QItem(B, 2), QItem(F, 4))
+        assert db.sequences[0].itemsets[0] == (QItem(B, 2), QItem(F, 4))
 
     def test_empty_text_is_empty_database(self):
         db, eut = parse_database("", "")
@@ -73,7 +72,7 @@ class TestParseDatabase:
     def test_blank_lines_and_extra_whitespace(self):
         db, _ = parse_database("\n  a:1  -1  -2  \n\n", "a 2\n")
         assert len(db.sequences) == 1
-        assert db.sequences[0].segments[0].itemsets == ((QItem(0, 1),),)
+        assert db.sequences[0].itemsets == ((QItem(0, 1),),)
 
     @pytest.mark.parametrize(
         "line,lineno,column",
@@ -126,7 +125,7 @@ class TestIntegerDigitLimit:
 
     def test_quantity_at_the_limit_parses(self):
         db, _ = parse_database("a:" + "9" * self.LIMIT + " -1 -2\n", "a 1\n")
-        assert db.sequences[0].segments[0].itemsets[0][0].quantity == 10**self.LIMIT - 1
+        assert db.sequences[0].itemsets[0][0].quantity == 10**self.LIMIT - 1
 
     def test_over_long_quantity_names_its_length(self):
         with pytest.raises(ParseError) as err:
@@ -153,14 +152,8 @@ class TestSerializeDatabase:
         db, eut = running
         assert serialize_database(db, eut) == (RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
 
-    def test_refuses_revised_database(self):
-        seq = QSequence(0, (Segment(1, ((QItem(0, 1),),)), Segment(3, ((QItem(0, 1),),))))
-        db = QSequenceDatabase((seq,), ("a",))
-        with pytest.raises(ValueError, match="revised"):
-            serialize_database(db, parse_utility_table("a 1\n")[1])
-
     def test_refuses_sid_gaps(self):
-        seq = QSequence(7, (Segment(1, ((QItem(0, 1),),)),))
+        seq = QSequence(7, ((QItem(0, 1),),))
         db = QSequenceDatabase((seq,), ("a",))
         with pytest.raises(ValueError, match="sid"):
             serialize_database(db, parse_utility_table("a 1\n")[1])
@@ -212,7 +205,7 @@ class TestGenerator:
         assert len(db.sequences) == 40
         assert len(eut.weights) == 9 and all(1 <= w <= 2 for w in eut.weights)
         for seq in db.sequences:
-            itemsets = seq.segments[0].itemsets
+            itemsets = seq.itemsets
             assert 1 <= len(itemsets) <= 5
             for itemset in itemsets:
                 assert 1 <= len(itemset) <= 3
@@ -222,7 +215,7 @@ class TestGenerator:
     def test_single_item_universe(self):
         db, _ = generate_synthetic(GeneratorParams(sequence_count=5, distinct_items=1, seed=2))
         for seq in db.sequences:
-            for itemset in seq.segments[0].itemsets:
+            for itemset in seq.itemsets:
                 assert len(itemset) == 1 and itemset[0].item == 0
 
     def test_generated_databases_validate_and_round_trip(self):
@@ -243,9 +236,7 @@ class TestValidate:
         assert validate(db, eut) == []
 
     def _db(self, *itemsets):
-        return QSequenceDatabase(
-            (QSequence(0, (Segment(1, itemsets),)),), ("a", "b", "c")
-        )
+        return QSequenceDatabase((QSequence(0, itemsets),), ("a", "b", "c"))
 
     def test_reports_violations(self):
         _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
@@ -259,30 +250,11 @@ class TestValidate:
             self._db((QItem(9, 1),)), eut
         )[0]
         assert "empty itemset" in validate(self._db(()), eut)[0]
-
-    def test_multi_segment_positions_in_order(self):
-        _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
-        seq = QSequence(
-            0,
-            (
-                Segment(1, ((QItem(0, 1),), (QItem(1, 0),))),
-                Segment(5, ((QItem(2, 1), QItem(0, 1)), (QItem(9, 1),))),
-            ),
-        )
-        assert validate(QSequenceDatabase((seq,), ("a", "b", "c")), eut) == [
+        # itemset k is reported at position k
+        assert validate(self._db((QItem(0, 1),), (QItem(1, 0),), (QItem(9, 1),)), eut) == [
             "sequence 0, position 2: quantity must be >= 1",
-            "sequence 0, position 5: items not strictly ascending",
-            "sequence 0, position 6: missing external utility for item 9",
+            "sequence 0, position 3: missing external utility for item 9",
         ]
-
-    def test_mining_caches_no_position_map(self):
-        from hucsp.miner import MiningConfig, mine
-
-        db, eut = parse_database(RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
-        gapped = QSequence(5, (Segment(1, ((QItem(A, 1),),)), Segment(3, ((QItem(C, 2),),))))
-        db = QSequenceDatabase(db.sequences + (gapped,), db.names)
-        mine(db, eut, MiningConfig(xi="0.1"))
-        assert all("by_position" not in seq.__dict__ for seq in db.sequences)
 
     def test_reports_bad_weights(self):
         db = self._db((QItem(0, 1),))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
-    Segment,
     ending_positions,
     instance_utility,
     pattern_utility,
@@ -83,7 +84,7 @@ class TestSIL:
         sil = build_sil(db, eut, deleted)[0]
         assert sil_to_text(sil, db.names) == "(a,90,90)//(a,90,0)"
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_remaining_utilities_telescope(self, dbeut):
         db, eut = dbeut
         for sil, seq in zip(build_sil(db, eut), db.sequences):
@@ -98,35 +99,37 @@ class TestSIL:
         assert set(sils[0].by_position) == {1, 2, 3}
         assert sils[0].by_position[1] == ((B, 4, 19), (F, 4, 15))
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_by_position_holds_every_q_item(self, dbeut):
         db, eut = dbeut
         for sil, seq in zip(build_sil(db, eut), db.sequences):
-            assert sorted(sil.by_position) == list(seq.positions())
+            assert sorted(sil.by_position) == list(range(1, len(seq.itemsets) + 1))
             for pos, row in sil.by_position.items():
                 assert [(item, utility) for item, utility, _ in row] == [
-                    (q.item, q.quantity * eut.weights[q.item]) for q in seq.by_position[pos]
+                    (q.item, q.quantity * eut.weights[q.item]) for q in seq.itemsets[pos - 1]
                 ]
 
-    @given(q_databases(segmented=True))
-    def test_text_splits_at_every_gap(self, dbeut):
-        db, eut = dbeut
-        for sil, seq in zip(build_sil(db, eut), db.sequences):
+    @given(st.data())
+    def test_text_splits_at_every_gap(self, data):
+        db, eut = data.draw(q_databases())
+        deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
+        seqs = {seq.sid: seq for seq in db.sequences}
+        for sil in build_sil(db, eut, deleted):
+            keeps = [any(q.item not in deleted for q in s) for s in seqs[sil.sid].itemsets]
+            runs = [len(list(group)) for kept, group in itertools.groupby(keeps) if kept]
             parts = sil_to_text(sil, db.names).split("//")
-            assert [len(part.split("/")) for part in parts] == [
-                len(seg.itemsets) for seg in seq.segments
-            ]
+            assert [len(part.split("/")) for part in parts] == runs
 
     @given(st.data())
     def test_deleted_items_are_left_out(self, data):
-        db, eut = data.draw(q_databases(segmented=True))
+        db, eut = data.draw(q_databases())
         deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
         sils = {sil.sid: sil for sil in build_sil(db, eut, deleted)}
         assert set(sils) <= {seq.sid for seq in db.sequences}
         swu: dict[int, int] = {}
         for seq in db.sequences:
             kept = {}
-            for pos, itemset in seq.by_position.items():
+            for pos, itemset in enumerate(seq.itemsets, start=1):
                 row = [
                     (q.item, q.quantity * eut.weights[q.item])
                     for q in itemset
@@ -156,7 +159,7 @@ class TestSIL:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(0, (Segment(1, ((QItem(0, 1), QItem(item, 1)),)),))
+        seq = QSequence(0, ((QItem(0, 1), QItem(item, 1)),))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             build_sil(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 
@@ -264,7 +267,7 @@ class TestExtensionItems:
 
 
 class TestChainsAgreeWithCalculus:
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_initial_chains(self, dbeut):
         db, eut = dbeut
         sils = build_sil(db, eut)
@@ -285,7 +288,7 @@ class TestChainsAgreeWithCalculus:
                     assert value == instance_utility(pattern, epos, seq, eut)
             assert ichain_pattern_utility(chain) == pattern_utility(pattern, db, eut)
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     def test_extensions(self, dbeut):
         db, eut = dbeut
         sils = build_sil(db, eut)
@@ -318,7 +321,7 @@ class TestChainsAgreeWithCalculus:
                 for deeper, deeper_utility in grow(ext):
                     check(deeper, deeper_utility)
 
-    @given(q_databases(segmented=True), st.data())
+    @given(q_databases(), st.data())
     def test_a_batch_equals_one_call_per_item(self, dbeut, data):
         db, eut = dbeut
         sils = {s.sid: s for s in build_sil(db, eut)}

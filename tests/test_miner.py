@@ -26,7 +26,6 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
-    Segment,
     db_utility,
     pattern_length,
 )
@@ -42,55 +41,41 @@ from hucsp.oracle import enumerate_patterns, oracle_mine
 
 
 @st.composite
-def databases_where_guip_deletes(draw):
-    """A segmented database with an item z that GUIP deletes at xi >= 0.2.
+def databases_where_guip_leaves_a_gap(draw):
+    """A database with an item z, alone in its itemset, that GUIP deletes at xi >= 0.2.
 
-    z (weight 1, quantity 1) fills an itemset of its own in a segment of one
-    sequence S, after the segment's first itemset and, when the segment has
-    two or more, before its last.  An added last sequence
-    repeats that segment without z, quantities scaled up, so SWU(z), at
-    most u(S) + 1, stays below a fifth of u(D), while the repeated segment
-    clears every threshold drawn with it.  Deleting z must leave a gap:
-    closing it up would let S add the repeated segment's pattern too.
+    z (weight 1, quantity 1) fills an itemset of its own in one sequence S,
+    after S's first itemset and, when S has two or more, before its last.
+    An added last sequence repeats S without z, quantities scaled up, so
+    SWU(z), at most u(S) + 1, stays below a fifth of u(D), while the
+    repeated sequence clears every threshold drawn with it.  Deleting z must
+    leave a gap: closing it up would let S add the repeated sequence's
+    pattern too.
     """
-    db, eut = draw(q_databases(segmented=True))
+    db, eut = draw(q_databases())
     z = len(eut.weights)
     seq = draw(st.sampled_from(db.sequences))
-    k = draw(st.integers(0, len(seq.segments) - 1))
-    seg = seq.segments[k]
-    at = draw(st.integers(1, max(1, len(seg.itemsets) - 1)))
-    segments = (
-        *seq.segments[:k],
-        Segment(seg.start, (*seg.itemsets[:at], (QItem(z, 1),), *seg.itemsets[at:])),
-        *(Segment(later.start + 1, later.itemsets) for later in seq.segments[k + 1 :]),
-    )
+    at = draw(st.integers(1, max(1, len(seq.itemsets) - 1)))
+    gapped = QSequence(seq.sid, (*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
     scale = 10 * (db_utility(db, eut) + 2)
-    heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seg.itemsets)
-    sequences = tuple(QSequence(s.sid, segments) if s is seq else s for s in db.sequences)
+    heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seq.itemsets)
+    sequences = tuple(gapped if s is seq else s for s in db.sequences)
     return (
-        QSequenceDatabase(
-            (*sequences, QSequence(len(sequences), (Segment(1, heavy),))), (*db.names, "z")
-        ),
+        QSequenceDatabase((*sequences, QSequence(len(sequences), heavy)), (*db.names, "z")),
         ExternalUtilityTable((*eut.weights, 1)),
     )
 
 
 @st.composite
 def huge_quantity_databases(draw):
-    """Segmented databases whose every quantity is at least 10**30."""
-    db, eut = draw(q_databases(segmented=True))
+    """Random databases whose every quantity is at least 10**30."""
+    db, eut = draw(q_databases())
 
     def huge(qitem):
         return QItem(qitem.item, qitem.quantity * 10**30 + draw(st.integers(0, 10**30)))
 
     sequences = tuple(
-        QSequence(
-            seq.sid,
-            tuple(
-                Segment(seg.start, tuple(tuple(map(huge, s)) for s in seg.itemsets))
-                for seg in seq.segments
-            ),
-        )
+        QSequence(seq.sid, tuple(tuple(map(huge, s)) for s in seq.itemsets))
         for seq in db.sequences
     )
     return QSequenceDatabase(sequences, db.names), eut
@@ -237,7 +222,7 @@ class TestOracleEquivalence:
                 }
 
     @given(
-        q_databases(segmented=True),
+        q_databases(),
         st.sampled_from(["0", "0.2", "0.4", "0.6", "1"]),
         st.booleans(),
         st.one_of(st.none(), st.integers(1, 3)),
@@ -249,18 +234,15 @@ class TestOracleEquivalence:
         assert got == oracle_mine(db, eut, xi, max_len=max_len)
 
     @pytest.mark.parametrize("xi", ["0.3", "1"])
-    def test_segmented_database_where_guip_deletes(self, xi):
+    def test_guip_gap_blocks_an_alignment(self, xi):
         a, b, z, c = range(4)
-        first = (
-            Segment(1, ((QItem(a, 50),), (QItem(z, 1),), (QItem(b, 50),))),
-            Segment(5, ((QItem(a, 10), QItem(b, 10)),)),
-        )
+        first = ((QItem(a, 50),), (QItem(z, 1),), (QItem(b, 50),), (QItem(a, 10), QItem(b, 10)))
         db = QSequenceDatabase(
             (
                 QSequence(0, first),
-                QSequence(1, (Segment(1, ((QItem(a, 30), QItem(b, 30)),)),)),
-                QSequence(2, (Segment(2, ((QItem(c, 200),),)),)),
-                QSequence(3, (Segment(1, ((QItem(a, 40),), (QItem(b, 40),))),)),
+                QSequence(1, ((QItem(a, 30), QItem(b, 30)),)),
+                QSequence(2, ((QItem(c, 200),),)),
+                QSequence(3, ((QItem(a, 40),), (QItem(b, 40),))),
             ),
             ("a", "b", "z", "c"),
         )
@@ -273,7 +255,7 @@ class TestOracleEquivalence:
         assert got == reference
         assert mine(db, eut, MiningConfig(xi=xi, enable_guip=False))[0] == reference
 
-    @given(databases_where_guip_deletes(), st.sampled_from(["0.2", "0.4", "0.6"]))
+    @given(databases_where_guip_leaves_a_gap(), st.sampled_from(["0.2", "0.4", "0.6"]))
     def test_forced_deletion_leaves_a_gap(self, dbeut, xi):
         db, eut = dbeut
         z = len(eut.weights) - 1
@@ -291,7 +273,7 @@ class TestOracleEquivalence:
         got, _ = mine(db, eut, MiningConfig(xi=xi, enable_guip=enable_guip))
         assert got == oracle_mine(db, eut, xi)
 
-    @given(q_databases(segmented=True), st.data())
+    @given(q_databases(), st.data())
     def test_threshold_exactly_at_a_pattern_utility(self, dbeut, data):
         db, eut = dbeut
         universe = enumerate_patterns(db, eut)

@@ -42,37 +42,18 @@ class TestEnumerate:
         singles = enumerate_patterns(db, eut, max_len=1)
         assert set(singles) == {((i,),) for i in (A, B, C, D, E, F)}
 
-    def test_respects_segments(self):
-        from hucsp.core import (
-            ExternalUtilityTable,
-            QItem,
-            QSequence,
-            QSequenceDatabase,
-            Segment,
-        )
-
-        seq = QSequence(0, (Segment(1, ((QItem(0, 1),),)), Segment(3, ((QItem(1, 1),),))))
-        db = QSequenceDatabase((seq,), ("a", "b"))
-        universe = enumerate_patterns(db, ExternalUtilityTable((2, 5)))
-        assert universe == {((0,),): 2, ((1,),): 5}
-
 
 class TestWorkGuard:
     def test_estimate_matches_literal_enumeration(self, running):
         db, _ = running
         literal = 0
         for seq in db.sequences:
-            for seg in seq.segments:
-                n = len(seg.itemsets)
-                for start in range(n):
-                    for end in range(start, n):
-                        subset_counts = [
-                            2 ** len(seg.itemsets[k]) - 1 for k in range(start, end + 1)
-                        ]
-                        for combo in itertools.product(
-                            *[range(c) for c in subset_counts]
-                        ):
-                            literal += 1
+            n = len(seq.itemsets)
+            for start in range(n):
+                for end in range(start, n):
+                    subset_counts = [2 ** len(seq.itemsets[k]) - 1 for k in range(start, end + 1)]
+                    for combo in itertools.product(*[range(c) for c in subset_counts]):
+                        literal += 1
         assert instance_count(db) == literal
 
     def test_cap_refusal(self, running):
@@ -116,7 +97,7 @@ class TestOracleMine:
 
 
 class TestAgainstDirectCalculus:
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     @settings(max_examples=40)
     def test_universe_utilities_match_pattern_utility(self, dbeut):
         db, eut = dbeut
@@ -125,7 +106,7 @@ class TestAgainstDirectCalculus:
             assert utility == pattern_utility(pattern, db, eut)
             assert any(contains(pattern, s) for s in db.sequences)
 
-    @given(q_databases(segmented=True))
+    @given(q_databases())
     @settings(max_examples=40)
     def test_universe_is_complete_for_single_items(self, dbeut):
         db, eut = dbeut
