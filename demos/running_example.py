@@ -59,7 +59,6 @@ print(f"  remaining utility after c at position 2 of S5: "
 print("\n== index structures ==")
 sils = build_sil(db, eut)
 print(f"  SIL of S1: {sil_to_text(sils[0], db.names)}")
-by_sid = {s.sid: s for s in sils}
 initial = build_initial_ichains(sils)
 chain_a = initial[A]
 print("  IChain of <{a}>:", {f"S{il.sid + 1}": list(il.elements)
@@ -68,8 +67,8 @@ print("  IChain of <{a}>:", {f"S{il.sid + 1}": list(il.elements)
 print("\n== upper bounds ==")
 swu = swu_per_item(db, eut)
 print("  SWU:", {db.names[i]: swu[i] for i in sorted(swu)})
-print(f"  IEU of the item-extension <{{ae}}>: {ieu_i_extension(chain_a, E, by_sid)}")
-print(f"  IEU of the sequence-extension <{{a}},{{c}}>: {ieu_s_extension(chain_a, C, by_sid)}")
+print(f"  IEU of the item-extension <{{ae}}>: {ieu_i_extension(chain_a, E, sils)}")
+print(f"  IEU of the sequence-extension <{{a}},{{c}}>: {ieu_s_extension(chain_a, C, sils)}")
 
 print("\n== mining at xi = 25% (minimum utility 26.5) ==")
 results, stats = mine(db, eut, MiningConfig(xi="0.25"))

@@ -66,9 +66,6 @@ class Threshold:
     def admits(self, utility: int) -> bool:
         return utility >= self.least_admitted
 
-    def rejects(self, bound: int) -> bool:
-        return bound < self.least_admitted
-
 
 def swu_per_item(
     db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item] = frozenset()
@@ -101,11 +98,12 @@ def guip_revise(
     db: QSequenceDatabase, eut: ExternalUtilityTable, threshold: Threshold
 ) -> GuipResult:
     """Items whose SWU over the survivors falls below threshold, to a fixpoint."""
+    least = threshold.least_admitted
     deleted: frozenset[Item] = frozenset()
     rounds = 0
     while True:
         swu = swu_per_item(db, eut, deleted)
-        doomed = {item for item, value in swu.items() if threshold.rejects(value)}
+        doomed = {item for item, value in swu.items() if value < least}
         if not doomed:
             return GuipResult(deleted, rounds)
         rounds += 1
@@ -124,10 +122,10 @@ def _ieu_by_sequence(
     """
     out: dict[int, int] = {}
     for il in prefix.lists:
-        by_position = sils[il.sid].by_position
+        sil = sils[il.sid]
         best = -1
         for epos, utility in il.elements:
-            for j, gained, remaining in by_position.get(epos + step, ()):
+            for j, gained, remaining in sil.get(epos + step, ()):
                 if j == item:
                     best = max(best, utility + gained + remaining)
         if best >= 0:
@@ -169,24 +167,24 @@ def extension_utilizations(
     i_totals: dict[Item, int] = {}
     s_totals: dict[Item, int] = {}
     for sid, elements in prefix.lists:
-        by_position = sils[sid].by_position
+        sil = sils[sid]
         if len(elements) == 1:
             ((epos, utility),) = elements
-            row = by_position[epos]
+            row = sil[epos]
             for item, gained, remaining in row[bisect_left(row, after_last) :]:
                 i_totals[item] = i_totals.get(item, 0) + utility + gained + remaining
-            for item, gained, remaining in by_position.get(epos + 1, ()):
+            for item, gained, remaining in sil.get(epos + 1, ()):
                 s_totals[item] = s_totals.get(item, 0) + utility + gained + remaining
             continue
         i_best: dict[Item, int] = {}
         s_best: dict[Item, int] = {}
         for epos, utility in elements:
-            row = by_position[epos]
+            row = sil[epos]
             for item, gained, remaining in row[bisect_left(row, after_last) :]:
                 value = utility + gained + remaining
                 if value > i_best.get(item, -1):
                     i_best[item] = value
-            for item, gained, remaining in by_position.get(epos + 1, ()):
+            for item, gained, remaining in sil.get(epos + 1, ()):
                 value = utility + gained + remaining
                 if value > s_best.get(item, -1):
                     s_best[item] = value

@@ -9,8 +9,10 @@ External-utility file, one item per line:
     b 1
 
 Item ids are assigned by first appearance in the external-utility file, and
-itemsets in the database file must list items in ascending id order.  Results
-are written one pattern per line, itemsets separated by -1:
+itemsets in the database file must list items in ascending id order.  An
+item name cannot contain ':', which separates name from quantity in the
+database file.  Results are written one pattern per line, itemsets
+separated by -1:
 
     a -1 c -1 #UTIL: 36
 
@@ -81,6 +83,8 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
             tok, col = tokens[2] if len(tokens) > 2 else tokens[0]
             raise ParseError("expected 'name weight'", lineno, col)
         (name, name_col), (weight_text, weight_col) = tokens
+        if ":" in name:
+            raise ParseError(f"item name {name!r} contains ':'", lineno, name_col)
         if name in seen:
             raise ParseError(f"duplicate item name {name!r}", lineno, name_col)
         try:

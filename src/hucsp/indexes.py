@@ -3,12 +3,14 @@
 The SIL is a per-sequence mirror of the database that stores, for every
 q-item occurrence whose item GUIP did not delete, its utility and the
 remaining utility (total utility of every surviving q-item after it in
-reading order).  Each position holds one row: a tuple of (item, utility,
-remaining) triples in strictly ascending item order, so the items after a
-given one are a slice found by bisection.  Remaining utilities telescope:
-each entry's remainder equals the next entry's remainder plus the next
-entry's utility, and the last entry's remainder is 0.  A position whose
-items were all deleted is left out, which makes it a gap.
+reading order).  A sequence's SIL is one position map, and build_sil
+returns {sid: position map}.  Each position holds one row: a tuple of
+(item, utility, remaining) triples in strictly ascending item order, so the
+items after a given one are a slice found by bisection.  Remaining
+utilities telescope: each entry's remainder equals the next entry's
+remainder plus the next entry's utility, and the last entry's remainder is
+0.  A position whose items were all deleted is left out, which makes it a
+gap.
 
 An IChain indexes every instance of one pattern: per containing sequence, the
 (ending position, instance utility) pairs in ascending position order, as
@@ -38,30 +40,16 @@ from .core import (
 SILRow = tuple[tuple[Item, int, int], ...]
 
 
-class SIL(NamedTuple):
-    """One sequence's rows: by_position maps position -> row.
-
-    build_sil walks the sequence backwards, so positions are keys in
-    descending order; each row lists its triples by ascending item.  A
-    position missing between two keys is a gap: an itemset whose items were
-    all deleted.
-    """
-
-    sid: int
-    by_position: dict[int, SILRow]
-
-
-# A NamedTuple's generated __new__ is a Python function call per object;
-# tuple.__new__ builds the same value from a tuple of its fields without it.
-# On a 20k-sequence database that took about a third off build_sil and off
-# build_initial_ichains.
-_new_sil = partial(tuple.__new__, SIL)
+# One sequence's SIL: position -> row.  build_sil walks the sequence
+# backwards, so positions are keys in descending order.  A position missing
+# between two keys is a gap: an itemset whose items were all deleted.
+SIL = dict[int, SILRow]
 
 
 def build_sil(
     db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item] = frozenset()
-) -> list[SIL]:
-    """One SIL per sequence with a surviving q-item, in database order.
+) -> dict[int, SIL]:
+    """sid -> SIL of every sequence with a surviving q-item, in database order.
 
     Each sequence is walked once, backwards, skipping deleted items, so
     every entry's remainder is the running total of the surviving utilities
@@ -69,11 +57,11 @@ def build_sil(
     validate requires; the rows keep that order.
     """
     weight_of = dict(enumerate(eut.weights))
-    sils = []
+    sils: dict[int, SIL] = {}
     try:
         for seq in db.sequences:
             left = 0
-            by_position: dict[int, SILRow] = {}
+            sil: SIL = {}
             pos = len(seq.itemsets)
             for itemset in reversed(seq.itemsets):
                 row = []
@@ -84,10 +72,10 @@ def build_sil(
                         left += utility
                 if row:
                     row.reverse()
-                    by_position[pos] = tuple(row)
+                    sil[pos] = tuple(row)
                 pos -= 1
-            if by_position:
-                sils.append(_new_sil((seq.sid, by_position)))
+            if sil:
+                sils[seq.sid] = sil
     except KeyError as e:
         raise missing_weight(e.args[0]) from None
     return sils
@@ -97,7 +85,7 @@ def sil_to_text(sil: SIL, names: tuple[str, ...]) -> str:
     """Render entries as (name,utility,remaining); '/' between itemsets, '//' across a gap."""
     parts = []
     previous = None
-    for pos, row in reversed(sil.by_position.items()):
+    for pos, row in reversed(sil.items()):
         if previous is not None:
             parts.append("/" if pos == previous + 1 else "//")
         parts.extend(f"({names[item]},{utility},{remaining})" for item, utility, remaining in row)
@@ -112,7 +100,8 @@ class InstanceList(NamedTuple):
     elements: tuple[tuple[int, int], ...]
 
 
-# Built without the generated __new__, as _new_sil is.
+# A NamedTuple's generated __new__ is a Python function call per object;
+# tuple.__new__ builds the same value from a tuple of its fields without it.
 _new_list = partial(tuple.__new__, InstanceList)
 
 
@@ -124,24 +113,24 @@ class IChain:
     lists: tuple[InstanceList, ...]
 
 
-def build_initial_ichains(sils: list[SIL]) -> dict[Item, IChain]:
+def build_initial_ichains(sils: Mapping[int, SIL]) -> dict[Item, IChain]:
     """IChains of every single-item pattern present in the indexed database.
 
-    sils must be in ascending sid order, as build_sil returns them; each is
-    walked once in position order, so every list comes out sorted.
+    sils must hold its sids in ascending order, as build_sil returns them;
+    each SIL is walked once in position order, so every list comes out sorted.
     """
     per_item: defaultdict[Item, list[InstanceList]] = defaultdict(list)
     last_sid = None
-    for sil in sils:
-        if last_sid is not None and sil.sid <= last_sid:
+    for sid, sil in sils.items():
+        if last_sid is not None and sid <= last_sid:
             raise ValueError("SILs must be in ascending sid order")
-        last_sid = sil.sid
+        last_sid = sid
         in_sequence: defaultdict[Item, list[tuple[int, int]]] = defaultdict(list)
-        for pos, row in reversed(sil.by_position.items()):
+        for pos, row in reversed(sil.items()):
             for item, utility, _ in row:
                 in_sequence[item].append((pos, utility))
         for item, elements in in_sequence.items():
-            per_item[item].append(_new_list((last_sid, tuple(elements))))
+            per_item[item].append(_new_list((sid, tuple(elements))))
     return {item: IChain(((item,),), tuple(per_item[item])) for item in sorted(per_item)}
 
 
@@ -159,12 +148,12 @@ def _extend_ichains(
     lists: dict[Item, list[InstanceList]] = {item: [] for item in wanted}
     totals = dict.fromkeys(wanted, 0)
     for sid, elements in prefix.lists:
-        by_position = sils[sid].by_position
+        sil = sils[sid]
         grown: dict[Item, list[tuple[int, int]]] = {}
         best: dict[Item, int] = {}
         for epos, utility in elements:
             pos = epos + step
-            row = by_position.get(pos)
+            row = sil.get(pos)
             if row is None:
                 continue
             for item, gained, _ in row:

@@ -151,8 +151,8 @@ def mine(
         deleted, rounds = guip_revise(db, eut, threshold)
     else:
         deleted, rounds = frozenset(), 0
-    sils = {sil.sid: sil for sil in build_sil(db, eut, deleted)}
-    initial = build_initial_ichains(list(sils.values()))
+    sils = build_sil(db, eut, deleted)
+    initial = build_initial_ichains(sils)
     found: dict[Pattern, int] = {}
     counters = SearchCounters()
     for item in sorted(initial):

@@ -21,6 +21,7 @@ from hucsp.core import (
     pattern_length,
 )
 from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
+from hucsp.indexes import build_initial_ichains, build_sil
 from hucsp.oracle import instance_count
 
 settings.register_profile(
@@ -52,6 +53,14 @@ A, B, C, D, E, F = range(6)
 def running():
     """(database, utility table) of the worked example."""
     return parse_database(RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
+
+
+@pytest.fixture(scope="module")
+def indexed(running):
+    """(database, utility table, SILs, single-item chains) of the worked example."""
+    db, eut = running
+    sils = build_sil(db, eut)
+    return db, eut, sils, build_initial_ichains(sils)
 
 
 def inflating(extend):

@@ -92,8 +92,8 @@ def test_criterion_03_sil_golden(running):
 
 def test_criterion_04_bound_goldens(running):
     db, eut = running
-    sils = {s.sid: s for s in build_sil(db, eut)}
-    initial = build_initial_ichains(list(sils.values()))
+    sils = build_sil(db, eut)
+    initial = build_initial_ichains(sils)
     swu = swu_per_item(db, eut)
     checks = [
         swu[A] == 85,
@@ -178,9 +178,11 @@ def test_criterion_07_pruning_neutrality(running, corpus200):
 
 def test_criterion_08_deletion_cannot_bridge_a_gap():
     # z is unpromising and sits alone between a and b; deleting it must not
-    # let (a)(b) appear as if those itemsets were adjacent
+    # let (a)(b) appear as if those itemsets were adjacent.  The total is 441
+    # and the bar 176.4; z's SWU is 101.  The last sequence makes the real
+    # <{a},{b}> worth 80, so closing z's position would report it at 180.
     db, eut = parse_database(
-        "a:50 -1 z:1 -1 b:50 -1 -2\na:30 b:30 -1 -2\nc:200 -1 -2\n",
+        "a:50 -1 z:1 -1 b:50 -1 -2\na:30 b:30 -1 -2\nc:200 -1 -2\na:40 -1 b:40 -1 -2\n",
         "a 1\nb 1\nz 1\nc 1\n",
     )
     results, stats = mine(db, eut, MiningConfig(xi="0.4"))

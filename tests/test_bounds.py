@@ -33,26 +33,17 @@ from hucsp.dataio import parse_database
 from hucsp.indexes import build_initial_ichains, build_sil, extend_ichain_i, extend_ichain_s
 
 
-@pytest.fixture(scope="module")
-def indexed(running):
-    db, eut = running
-    sils = build_sil(db, eut)
-    return db, eut, {s.sid: s for s in sils}, build_initial_ichains(sils)
-
-
 class TestThreshold:
     def test_exact_quarter(self):
         t = Threshold.from_text("0.25", 106)
         assert t.xi == Fraction(1, 4)
         assert t.min_utility == Fraction(53, 2)
         assert t.admits(27) and not t.admits(26)
-        assert t.rejects(26) and not t.rejects(27)
 
     def test_boundary_is_inclusive(self):
         t = Threshold.from_text("0.5", 54)
         assert t.min_utility == 27
         assert t.admits(27)
-        assert not t.rejects(27)
 
     def test_extremes(self):
         assert Threshold.from_text("0", 106).admits(0)
@@ -70,7 +61,6 @@ class TestThreshold:
         # Probe both sides of the bar, and the bar itself when it is an integer.
         for utility in (math.floor(exact) + offset, math.ceil(exact) + offset):
             assert t.admits(utility) == (utility >= exact)
-            assert t.rejects(utility) == (utility < exact)
 
     @pytest.mark.parametrize("text", ["-0.1", "1.01", "2", "abc", "", "0.2.5"])
     def test_rejects(self, text):
@@ -121,13 +111,13 @@ class TestGUIP:
         # round 1: every item except b (SWU 106 >= 106); round 2: b alone
         assert result.deleted_items == {A, B, C, D, E, F}
         assert result.rounds == 2
-        assert build_sil(db, eut, result.deleted_items) == []
+        assert build_sil(db, eut, result.deleted_items) == {}
 
     def test_zero_threshold_deletes_nothing(self, running):
         db, eut = running
         assert guip_revise(db, eut, Threshold.from_text("0", 106)).rounds == 0
 
-    def test_deletion_splits_segments_and_keeps_positions(self):
+    def test_guip_gap_keeps_the_positions_around_it(self):
         db, eut = parse_database(
             "a:50 -1 z:1 -1 b:50 -1 -2\na:30 b:30 -1 -2\nc:200 -1 -2\n",
             "a 1\nb 1\nz 1\nc 1\n",
@@ -136,18 +126,19 @@ class TestGUIP:
         result = guip_revise(db, eut, Threshold.from_text("0.4", 361))
         assert result.deleted_items == {2}  # z: SWU 101 < 144.4
         assert result.rounds == 1
-        revised = build_sil(db, eut, result.deleted_items)
+        revised, full = build_sil(db, eut, result.deleted_items), build_sil(db, eut)
         # position 2 held only z: it becomes a gap between positions 1 and 3
-        assert list(revised[0].by_position) == [3, 1]
+        assert list(revised[0]) == [3, 1]
         # the other sequences are untouched
-        assert revised[1:] == build_sil(db, eut)[1:]
+        assert list(revised) == [0, 1, 2]
+        assert (revised[1], revised[2]) == (full[1], full[2])
 
     def test_emptied_sequences_are_dropped(self):
         db, eut = parse_database(
             "z:1 -1 -2\na:90 -1 -2\n", "z 1\na 1\n"
         )
         result = guip_revise(db, eut, Threshold.from_text("0.5", 91))
-        assert [sil.sid for sil in build_sil(db, eut, result.deleted_items)] == [1]
+        assert list(build_sil(db, eut, result.deleted_items)) == [1]
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
@@ -164,9 +155,9 @@ class TestGUIP:
         assert result.rounds <= len(db.names)
         surviving = {
             item
-            for sil in build_sil(db, eut, result.deleted_items)
-            for row in sil.by_position.values()
-            for item in row
+            for sil in build_sil(db, eut, result.deleted_items).values()
+            for row in sil.values()
+            for item, _, _ in row
         }
         assert not surviving & result.deleted_items
 
@@ -204,13 +195,13 @@ class TestIEU:
     @given(q_databases())
     def test_batch_agrees_with_per_item(self, dbeut):
         db, eut = dbeut
-        sils = {s.sid: s for s in build_sil(db, eut)}
+        sils = build_sil(db, eut)
         for sil in sils.values():
-            for row in sil.by_position.values():
+            for row in sil.values():
                 # extension_utilizations finds the items after the prefix's
                 # last one by bisection, which needs strictly ascending rows
                 assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
-        chains = list(build_initial_ichains(list(sils.values())).values())
+        chains = list(build_initial_ichains(sils).values())
         for seed in list(chains):
             # depth 2: prefixes whose last itemset holds two items, and
             # prefixes with several instances in one sequence

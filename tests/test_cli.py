@@ -153,7 +153,7 @@ class TestCheck:
 
         # flipped comparison: prune exactly what should be kept
         def flipped(bounds, threshold):
-            return sorted(item for item, ieu in bounds.items() if threshold.rejects(ieu))
+            return sorted(item for item, ieu in bounds.items() if not threshold.admits(ieu))
 
         monkeypatch.setattr(miner_module, "luip_admits", flipped)
         args = ["check", str(workdir / "db.txt"), str(workdir / "eut.txt"), "--xi", "0.25"]

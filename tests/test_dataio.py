@@ -47,6 +47,7 @@ class TestParseUtilityTable:
             ("a 0\n", 1, 3),  # weight below 1
             ("a 1 extra\n", 1, 5),  # trailing token
             ("a\n", 1, 1),  # missing weight
+            ("a 1\n  b:c 2\n", 2, 3),  # ':' in a name
         ],
     )
     def test_rejects(self, text, line, column):

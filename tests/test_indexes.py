@@ -32,20 +32,13 @@ from hucsp.indexes import (
 )
 
 
-@pytest.fixture(scope="module")
-def indexed(running):
-    db, eut = running
-    sils = build_sil(db, eut)
-    return db, eut, {sil.sid: sil for sil in sils}, build_initial_ichains(sils)
-
-
 def _elements(chain):
     return {il.sid: list(il.elements) for il in chain.lists}
 
 
 def _entries(sil):
     """(utility, remaining) of every entry in reading order."""
-    return [(u, r) for _, row in sorted(sil.by_position.items()) for _, u, r in row]
+    return [(u, r) for _, row in sorted(sil.items()) for _, u, r in row]
 
 
 class TestSIL:
@@ -71,7 +64,7 @@ class TestSIL:
         db, eut = parse_database("a:1 -1 -2\n", "a 3\n")
         assert sil_to_text(build_sil(db, eut)[0], db.names) == "(a,3,0)"
 
-    def test_segments_render_with_double_slash(self):
+    def test_guip_gap_renders_with_double_slash(self):
         from hucsp.bounds import Threshold, guip_revise
         from hucsp.dataio import parse_database
 
@@ -87,24 +80,24 @@ class TestSIL:
     @given(q_databases())
     def test_remaining_utilities_telescope(self, dbeut):
         db, eut = dbeut
-        for sil, seq in zip(build_sil(db, eut), db.sequences):
+        for sil, seq in zip(build_sil(db, eut).values(), db.sequences):
             entries = _entries(sil)
             assert sum(entries[0]) == q_sequence_utility(seq, eut)
             for (_, remaining), (utility, rest) in zip(entries, entries[1:]):
                 assert remaining == utility + rest
             assert entries[-1][1] == 0
 
-    def test_by_position_mirrors_segments(self, indexed):
+    def test_first_sequence_maps_its_run_of_three_itemsets(self, indexed):
         _, _, sils, _ = indexed
-        assert set(sils[0].by_position) == {1, 2, 3}
-        assert sils[0].by_position[1] == ((B, 4, 19), (F, 4, 15))
+        assert set(sils[0]) == {1, 2, 3}
+        assert sils[0][1] == ((B, 4, 19), (F, 4, 15))
 
     @given(q_databases())
     def test_by_position_holds_every_q_item(self, dbeut):
         db, eut = dbeut
-        for sil, seq in zip(build_sil(db, eut), db.sequences):
-            assert sorted(sil.by_position) == list(range(1, len(seq.itemsets) + 1))
-            for pos, row in sil.by_position.items():
+        for sil, seq in zip(build_sil(db, eut).values(), db.sequences):
+            assert sorted(sil) == list(range(1, len(seq.itemsets) + 1))
+            for pos, row in sil.items():
                 assert [(item, utility) for item, utility, _ in row] == [
                     (q.item, q.quantity * eut.weights[q.item]) for q in seq.itemsets[pos - 1]
                 ]
@@ -114,8 +107,8 @@ class TestSIL:
         db, eut = data.draw(q_databases())
         deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
         seqs = {seq.sid: seq for seq in db.sequences}
-        for sil in build_sil(db, eut, deleted):
-            keeps = [any(q.item not in deleted for q in s) for s in seqs[sil.sid].itemsets]
+        for sid, sil in build_sil(db, eut, deleted).items():
+            keeps = [any(q.item not in deleted for q in s) for s in seqs[sid].itemsets]
             runs = [len(list(group)) for kept, group in itertools.groupby(keeps) if kept]
             parts = sil_to_text(sil, db.names).split("//")
             assert [len(part.split("/")) for part in parts] == runs
@@ -124,7 +117,7 @@ class TestSIL:
     def test_deleted_items_are_left_out(self, data):
         db, eut = data.draw(q_databases())
         deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
-        sils = {sil.sid: sil for sil in build_sil(db, eut, deleted)}
+        sils = build_sil(db, eut, deleted)
         assert set(sils) <= {seq.sid for seq in db.sequences}
         swu: dict[int, int] = {}
         for seq in db.sequences:
@@ -141,9 +134,9 @@ class TestSIL:
                 assert seq.sid not in sils
                 continue
             sil = sils[seq.sid]
-            assert sorted(sil.by_position) == sorted(kept)
+            assert sorted(sil) == sorted(kept)
             for pos, row in kept.items():
-                assert [(item, utility) for item, utility, _ in sil.by_position[pos]] == row
+                assert [(item, utility) for item, utility, _ in sil[pos]] == row
             gone = sum(
                 q.quantity * eut.weights[q.item] for _, q in seq.iter_slots() if q.item in deleted
             )
@@ -186,7 +179,7 @@ class TestInitialIChains:
     def test_refuses_sils_out_of_sid_order(self, indexed):
         _, _, sils, _ = indexed
         with pytest.raises(ValueError, match="ascending sid order"):
-            build_initial_ichains([sils[1], sils[0]])
+            build_initial_ichains({1: sils[1], 0: sils[0]})
 
     def test_utilities(self, indexed):
         _, _, _, initial = indexed
@@ -261,8 +254,8 @@ class TestExtensionItems:
         from hucsp.dataio import parse_database
 
         db, eut = parse_database("a:1 b:1 -1 -2\n", "a 1\nb 1\n")
-        sils = {s.sid: s for s in build_sil(db, eut)}
-        chain = build_initial_ichains(list(sils.values()))[B]
+        sils = build_sil(db, eut)
+        chain = build_initial_ichains(sils)[B]
         assert _extension_items(chain, sils) == ((), ())
 
 
@@ -292,14 +285,11 @@ class TestChainsAgreeWithCalculus:
     def test_extensions(self, dbeut):
         db, eut = dbeut
         sils = build_sil(db, eut)
-        by_sid = {s.sid: s for s in sils}
         seqs = {s.sid: s for s in db.sequences}
 
         def grow(chain):
-            i_items, s_items = _extension_items(chain, by_sid)
-            return extend_ichain_i(chain, i_items, by_sid) + extend_ichain_s(
-                chain, s_items, by_sid
-            )
+            i_items, s_items = _extension_items(chain, sils)
+            return extend_ichain_i(chain, i_items, sils) + extend_ichain_s(chain, s_items, sils)
 
         def check(ext, utility):
             assert [il.sid for il in ext.lists] == [
@@ -324,9 +314,9 @@ class TestChainsAgreeWithCalculus:
     @given(q_databases(), st.data())
     def test_a_batch_equals_one_call_per_item(self, dbeut, data):
         db, eut = dbeut
-        sils = {s.sid: s for s in build_sil(db, eut)}
+        sils = build_sil(db, eut)
         universe = range(len(eut.weights))
-        for chain in build_initial_ichains(list(sils.values())).values():
+        for chain in build_initial_ichains(sils).values():
             last = chain.pattern[-1][-1]
             for extend, allowed in (
                 (extend_ichain_i, [j for j in universe if j > last]),

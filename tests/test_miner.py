@@ -227,7 +227,7 @@ class TestOracleEquivalence:
         st.booleans(),
         st.one_of(st.none(), st.integers(1, 3)),
     )
-    def test_segmented_databases(self, dbeut, xi, enable_guip, max_len):
+    def test_random_itemset_runs_match_the_oracle(self, dbeut, xi, enable_guip, max_len):
         db, eut = dbeut
         config = MiningConfig(xi=xi, enable_guip=enable_guip, max_pattern_length=max_len)
         got, _ = mine(db, eut, config)
