@@ -27,6 +27,7 @@ ceiling of the threshold, computed once.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +35,11 @@ from typing import AbstractSet, Mapping, NamedTuple
 
 from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight
 from .indexes import IChain, SIL
+
+# ASCII digits with an optional decimal point, or a ratio of digit runs.
+# Fraction alone would also take a sign, underscores, digits of other
+# scripts and exponents, whose exact expansion can run without bound.
+_XI_TEXT = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+|[0-9]+/[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -51,16 +57,16 @@ class Threshold:
     @classmethod
     def from_text(cls, xi_text: str, total_utility: int) -> "Threshold":
         text = xi_text.strip()
-        # Fraction expands an exponent into a power of ten with that many
-        # digits, so a short text such as 1e-10000000 would run without bound.
-        if "e" in text.lower():
-            raise ValueError(f"invalid threshold {xi_text!r}")
+        # Long text, valid or not, is named by a short prefix and its length.
+        shown = None if len(xi_text) <= 40 else f"{xi_text[:12]!r}... ({len(xi_text)} characters)"
         try:
+            if not _XI_TEXT.fullmatch(text):
+                raise ValueError
             xi = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid threshold {xi_text!r}") from None
+            raise ValueError(f"invalid threshold {shown or repr(xi_text)}") from None
         if not 0 <= xi <= 1:
-            raise ValueError(f"threshold out of range [0, 1]: {xi_text}")
+            raise ValueError(f"threshold out of range [0, 1]: {shown or xi_text}")
         return cls(xi, xi * total_utility)
 
     def admits(self, utility: int) -> bool:

@@ -11,7 +11,8 @@ External-utility file, one item per line:
 Item ids are assigned by first appearance in the external-utility file, and
 itemsets in the database file must list items in ascending id order.  An
 item name cannot contain ':', which separates name from quantity in the
-database file.  Results are written one pattern per line, itemsets
+database file, and cannot be -1 or -2, which a result line could not tell
+from the terminators.  Results are written one pattern per line, itemsets
 separated by -1:
 
     a -1 c -1 #UTIL: 36
@@ -85,6 +86,8 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
         (name, name_col), (weight_text, weight_col) = tokens
         if ":" in name:
             raise ParseError(f"item name {name!r} contains ':'", lineno, name_col)
+        if name in ("-1", "-2"):
+            raise ParseError(f"item name {name!r} is reserved as a terminator", lineno, name_col)
         if name in seen:
             raise ParseError(f"duplicate item name {name!r}", lineno, name_col)
         try:

@@ -114,7 +114,7 @@ class IChain:
 
 
 def build_initial_ichains(sils: Mapping[int, SIL]) -> dict[Item, IChain]:
-    """IChains of every single-item pattern present in the indexed database.
+    """IChains of every single-item pattern in the indexed database, in item order.
 
     sils must hold its sids in ascending order, as build_sil returns them;
     each SIL is walked once in position order, so every list comes out sorted.

@@ -7,8 +7,8 @@ is reachable along exactly one path, so nothing is emitted twice.
 
 Pipeline: validate, fix the minimum utility from the original database
 utility, name the hopeless items (SWU, to a fixpoint), build the SILs
-without them and the single-item chains, then grow.  Extensions whose IEU
-falls below the minimum are pruned with their whole subtrees.
+without them and the single-item chains, then grow them all from one stack.
+Extensions whose IEU falls below the minimum are pruned with their subtrees.
 
 A candidate is counted for every single-item pattern surviving deletion and
 for every extension whose IEU gets computed; the effective search rate is
@@ -54,6 +54,10 @@ class MiningConfig:
     max_pattern_length: int | None = None
     assert_bounds: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_pattern_length is not None and self.max_pattern_length < 1:
+            raise ValueError(f"max_pattern_length must be >= 1, got {self.max_pattern_length}")
+
 
 @dataclass(frozen=True)
 class MiningStats:
@@ -74,40 +78,40 @@ class MiningStats:
         }
 
 
-@dataclass
-class SearchCounters:
-    candidates: int = 0
-    luip_pruned: int = 0
-
-
 def recursive_search(
-    chain: IChain,
+    seeds: list[tuple[IChain, int]],
     sils: dict[int, SIL],
     threshold: Threshold,
     config: MiningConfig,
-    found: dict[Pattern, int],
-    counters: SearchCounters,
-) -> None:
-    """Grow one subtree depth-first, recording qualifying patterns in found.
+) -> tuple[dict[Pattern, int], int, int]:
+    """Grow every pattern from the single-item (chain, utility) seeds, in item order.
 
-    Runs on an explicit stack in exact recursion order (item-extensions
-    before sequence-extensions, items ascending) so pattern depth is not
-    limited by the interpreter's call stack.  One luip_admits call picks
-    each node's admitted extensions of one kind, and one pass over its
-    chain builds them with their utilities.
+    One explicit stack, so depth is not bound by the call stack, holds the
+    seeds and pops nodes in recursion order (item-extensions before
+    sequence-extensions, items ascending).  A popped node is recorded if it
+    qualifies, then expanded unless at the length cap: one luip_admits call
+    and one pass over its chain per extension kind.  Returns (qualifying
+    pattern -> utility, candidates, LUIP-pruned extensions).
     """
-    stack: list[tuple[IChain, int | None]] = [(chain, None)]
+    found: dict[Pattern, int] = {}
+    candidates, luip_pruned = len(seeds), 0
+    # (chain, its utility, the IEU it was admitted under; None for a seed)
+    stack: list[tuple[IChain, int, int | None]] = [
+        (chain, utility, None) for chain, utility in reversed(seeds)
+    ]
     while stack:
-        prefix, prefix_bound = stack.pop()
+        prefix, utility, prefix_bound = stack.pop()
+        if threshold.admits(utility):
+            found[prefix.pattern] = utility
         if (
             config.max_pattern_length is not None
             and pattern_length(prefix.pattern) >= config.max_pattern_length
         ):
             continue
         i_bounds, s_bounds = extension_utilizations(prefix, sils)
-        children: list[tuple[IChain, int]] = []
+        children: list[tuple[IChain, int, int]] = []
         for bounds_map, extend in ((i_bounds, extend_ichain_i), (s_bounds, extend_ichain_s)):
-            counters.candidates += len(bounds_map)
+            candidates += len(bounds_map)
             if config.assert_bounds and prefix_bound is not None:
                 for item, ieu in sorted(bounds_map.items()):
                     if ieu > prefix_bound:
@@ -117,23 +121,22 @@ def recursive_search(
                         )
             if config.enable_luip:
                 admitted = luip_admits(bounds_map, threshold)
-                counters.luip_pruned += len(bounds_map) - len(admitted)
+                luip_pruned += len(bounds_map) - len(admitted)
             else:
                 admitted = sorted(bounds_map)
             # Most nodes admit no extension of a kind; skip the pass over the chain.
             if not admitted:
                 continue
-            for item, (child, utility) in zip(admitted, extend(prefix, admitted, sils)):
+            for item, (child, child_utility) in zip(admitted, extend(prefix, admitted, sils)):
                 ieu = bounds_map[item]
-                if config.assert_bounds and utility > ieu:
+                if config.assert_bounds and child_utility > ieu:
                     raise BoundViolationError(
-                        f"utility exceeds its extension bound: {utility} > {ieu} "
+                        f"utility exceeds its extension bound: {child_utility} > {ieu} "
                         f"for {child.pattern}"
                     )
-                if threshold.admits(utility):
-                    found[child.pattern] = utility
-                children.append((child, ieu))
+                children.append((child, child_utility, ieu))
         stack.extend(reversed(children))
+    return found, candidates, luip_pruned
 
 
 @collector_paused()
@@ -153,21 +156,14 @@ def mine(
         deleted, rounds = frozenset(), 0
     sils = build_sil(db, eut, deleted)
     initial = build_initial_ichains(sils)
-    found: dict[Pattern, int] = {}
-    counters = SearchCounters()
-    for item in sorted(initial):
-        chain = initial[item]
-        counters.candidates += 1
-        utility = ichain_pattern_utility(chain)
-        if threshold.admits(utility):
-            found[chain.pattern] = utility
-        recursive_search(chain, sils, threshold, config, found, counters)
+    seeds = [(chain, ichain_pattern_utility(chain)) for chain in initial.values()]
+    found, candidates, luip_pruned = recursive_search(seeds, sils, threshold, config)
     stats = MiningStats(
-        candidates=counters.candidates,
+        candidates=candidates,
         hucsps=len(found),
         guip_deleted_items=len(deleted),
         guip_rounds=rounds,
-        luip_pruned=counters.luip_pruned,
+        luip_pruned=luip_pruned,
     )
     return sort_results(found.items()), stats
 

@@ -62,10 +62,28 @@ class TestThreshold:
         for utility in (math.floor(exact) + offset, math.ceil(exact) + offset):
             assert t.admits(utility) == (utility >= exact)
 
-    @pytest.mark.parametrize("text", ["-0.1", "1.01", "2", "abc", "", "0.2.5"])
+    @pytest.mark.parametrize(
+        "text",
+        ["-0.1", "1.01", "2", "abc", "", "0.2.5", "٠.٥", "０.5", "0.0_5", "+0.5", "-0", ".", "1/"],
+    )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             Threshold.from_text(text, 106)
+
+    @pytest.mark.parametrize("text", [" 0.25\n", "1/4", ".25", "25/100"])
+    def test_accepts_ascii_decimals_and_ratios(self, text):
+        assert Threshold.from_text(text, 100).xi == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0." + "1" * 5000, "9" * 4000 + "/1", "٠" * 5000],
+        ids=["digits", "out-of-range", "non-ascii"],
+    )
+    def test_long_text_is_not_echoed_whole(self, text):
+        with pytest.raises(ValueError) as err:
+            Threshold.from_text(text, 106)
+        assert len(str(err.value)) < 120
+        assert f"({len(text)} characters)" in str(err.value)
 
     @pytest.mark.parametrize("text", ["1e-1000000", "1E-1", "5e-1"])
     def test_refuses_exponent_notation(self, text):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT, growing, inflating
 from hucsp.cli import main
@@ -264,3 +268,52 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert out.read_text(encoding="utf-8") == "a -1 c -1 #UTIL: 36\nb f -1 #UTIL: 27\n"
         json.loads(proc.stdout)  # the report line
+
+
+# -h and --help are left out: argparse answers them by raising SystemExit(0)
+# after printing the help, which is their documented use.
+_COMMANDS = ("mine", "check", "gen", "bench")
+_FLAGS = (
+    "--xi", "--out", "--no-guip", "--no-luip", "--max-len", "--assert-bounds", "--report",
+    "--oracle-cap", "--sequences", "--distinct-items", "--max-itemsets", "--max-itemset-size",
+    "--max-quantity", "--max-weight", "--seed",
+)
+_PATHS = ("db.txt", "eut.txt", "missing.txt", "subdir")
+# Numbers have at most 2 digits, so that gen writes at most a few MB.
+_VALUES = st.one_of(
+    st.sampled_from((*_PATHS, "abc", "1/0", "1e-3", ",", "", "0.5")),
+    st.integers(0, 99).map(str),
+)
+_TOKENS = st.sampled_from(_COMMANDS + _FLAGS) | _VALUES
+_REQUIRED = {"mine": ("--xi", "--out"), "check": ("--xi",), "gen": ("--sequences",), "bench": ("--xi",)}
+
+
+@st.composite
+def _shaped_argv(draw):
+    """A subcommand, two paths and its required flags, then more flags; a value after each flag."""
+    command = draw(st.sampled_from(_COMMANDS))
+    paths = st.sampled_from(_PATHS)
+    argv = [command, *draw(st.just(_PATHS[:2]) | st.tuples(paths, paths))]
+    flags = _REQUIRED[command] + tuple(draw(st.lists(st.sampled_from(_FLAGS), max_size=2)))
+    for flag in flags[: (10 - len(argv)) // 2]:
+        argv += [flag, draw(_VALUES)]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150)
+    @given(st.one_of(st.lists(_TOKENS, max_size=10), _shaped_argv()))
+    def test_any_argv_ends_in_a_documented_exit_code(self, argv):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            # Relative names, including the files gen writes, stay in this example's directory.
+            os.chdir(work)
+            try:
+                with open("db.txt", "w", encoding="utf-8") as f:
+                    f.write("a:1 b:2 -1 a:3 -1 -2\n")
+                with open("eut.txt", "w", encoding="utf-8") as f:
+                    f.write("a 2\nb 1\n")
+                os.mkdir("subdir")
+                assert main(argv) in (0, 1, 2, 3)
+            finally:
+                os.chdir(cwd)

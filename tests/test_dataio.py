@@ -8,6 +8,7 @@ import sys
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import A, B, C, E, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, q_databases
 from hucsp.core import QItem, QSequence, QSequenceDatabase, db_utility
@@ -48,6 +49,8 @@ class TestParseUtilityTable:
             ("a 1 extra\n", 1, 5),  # trailing token
             ("a\n", 1, 1),  # missing weight
             ("a 1\n  b:c 2\n", 2, 3),  # ':' in a name
+            ("-1 3\n", 1, 1),  # the itemset terminator as a name
+            ("a 1\n\t-2 4\n", 2, 2),  # the sequence terminator as a name
         ],
     )
     def test_rejects(self, text, line, column):
@@ -266,7 +269,22 @@ class TestValidate:
         ]
 
 
+# The format's own characters, plus characters that str.splitlines, the
+# tokenizer or int() treat specially: \r, \x0b and \x1c end a line, and
+# int() would take the Arabic-Indic digit, the underscore and the sign.
+_FUZZ_ALPHABET = "ab:-012 \t\n\r\x0b\x1c\u0663_+"
+
+
 class TestParserFuzz:
+    @given(st.text(_FUZZ_ALPHABET, max_size=60), st.text(_FUZZ_ALPHABET, max_size=30))
+    def test_text_is_refused_at_a_place_or_round_trips(self, db_text, eut_text):
+        try:
+            db, eut = parse_database(db_text, eut_text)
+        except ParseError as err:
+            assert err.line >= 1 and err.column >= 1
+            return
+        assert parse_database(*serialize_database(db, eut)) == (db, eut)
+
     def test_mutated_inputs_never_crash(self):
         rng = random.Random(13)
         alphabet = "abcdefg:123 -\n"

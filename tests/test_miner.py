@@ -29,7 +29,7 @@ from hucsp.core import (
     db_utility,
     pattern_length,
 )
-from hucsp.dataio import parse_database
+from hucsp.dataio import format_pattern, parse_database
 from hucsp.miner import (
     BoundViolationError,
     MiningConfig,
@@ -160,6 +160,12 @@ class TestMaxPatternLength:
         db, eut = running
         _, stats = mine(db, eut, MiningConfig(xi="0", max_pattern_length=1))
         assert stats.candidates == 6  # single-item patterns only
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_refuses_a_cap_below_one(self, cap):
+        # A pattern has at least one item; the oracle would find nothing.
+        with pytest.raises(ValueError, match="max_pattern_length"):
+            MiningConfig(xi="0.1", max_pattern_length=cap)
 
 
 class TestValidationAndAsserts:
@@ -298,6 +304,34 @@ class TestDeterminism:
         first = mine(db, eut, MiningConfig(xi="0.05"))
         second = mine(db, eut, MiningConfig(xi="0.05"))
         assert first == second
+
+    def test_search_visit_order(self, running, monkeypatch):
+        """Depth first, item-extensions before sequence-extensions, items ascending."""
+        import hucsp.miner as miner_module
+
+        db, eut = running
+        visited = []
+        scan = miner_module.extension_utilizations
+
+        def recording(prefix, sils):
+            visited.append(format_pattern(prefix.pattern, db.names))
+            return scan(prefix, sils)
+
+        monkeypatch.setattr(miner_module, "extension_utilizations", recording)
+        mine(db, eut, MiningConfig(xi="0.25"))
+        assert visited == [
+            "a -1",
+            "a -1 c -1",
+            "b -1",
+            "b f -1",
+            "b f -1 e -1",
+            "c -1",
+            "d -1",
+            "d -1 b -1",
+            "e -1",
+            "f -1",
+            "f -1 a -1",
+        ]
 
 
 class TestEffectiveSearchRate:
