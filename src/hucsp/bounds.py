@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Mapping, NamedTuple
 
-from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight
+from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight, quoted
 from .indexes import IChain, SIL
 
 # ASCII digits with an optional decimal point, or a ratio of digit runs.
@@ -57,16 +58,21 @@ class Threshold:
     @classmethod
     def from_text(cls, xi_text: str, total_utility: int) -> "Threshold":
         text = xi_text.strip()
-        # Long text, valid or not, is named by a short prefix and its length.
-        shown = None if len(xi_text) <= 40 else f"{xi_text[:12]!r}... ({len(xi_text)} characters)"
+        if not _XI_TEXT.fullmatch(text):
+            raise ValueError(f"invalid threshold {quoted(xi_text)}")
         try:
-            if not _XI_TEXT.fullmatch(text):
-                raise ValueError
             xi = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid threshold {shown or repr(xi_text)}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"invalid threshold {quoted(xi_text)}") from None
+        except ValueError:
+            # Well-formed text fails only where a digit run is longer than
+            # Python parses into an int (sys.get_int_max_str_digits()).
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(
+                f"threshold {quoted(xi_text)} has a run of digits above the limit of {limit}"
+            ) from None
         if not 0 <= xi <= 1:
-            raise ValueError(f"threshold out of range [0, 1]: {shown or xi_text}")
+            raise ValueError(f"threshold out of range [0, 1]: {quoted(xi_text)}")
         return cls(xi, xi * total_utility)
 
     def admits(self, utility: int) -> bool:

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .bounds import Threshold
+from .core import collector_paused
 from .dataio import (
     GeneratorParams,
     ParseError,
@@ -110,6 +112,22 @@ def _read_text(path: str, kind: str) -> str:
         raise ValueError(f"missing {kind} file: {path} ({e.strerror})") from None
 
 
+def _refuse_overwrite(reads: dict[str, str], writes: dict[str, str | None]) -> None:
+    """Refuse a file to be written that is also read, or written in another role."""
+    seen = dict(reads)
+    for role, path in writes.items():
+        if path is None:
+            continue
+        for other, other_path in seen.items():
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:  # a file to be written need not exist yet
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                raise ValueError(f"{role} and {other} name the same file: {path}")
+        seen[role] = path
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
@@ -162,6 +180,7 @@ def _run_report(
 
 def cmd_mine(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    _refuse_overwrite({"DB": args.db, "EUT": args.eut}, {"--out": args.out, "--report": args.report})
     db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     config = MiningConfig(
         xi=args.xi,
@@ -197,6 +216,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _refuse_overwrite({}, {"DB_OUT": args.db_out, "EUT_OUT": args.eut_out})
     params = GeneratorParams(
         sequence_count=args.sequences,
         distinct_items=args.distinct_items,
@@ -214,6 +234,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _refuse_overwrite({"DB": args.db, "EUT": args.eut}, {"--report": args.report})
     xis = [x.strip() for x in args.xi.split(",") if x.strip()]
     if not xis:
         raise ValueError("no thresholds given")
@@ -237,7 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # One pause for the whole command: a resume between parsing and mining
+        # would let the next collection traverse the whole parsed database.
+        with collector_paused():
+            return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -87,6 +87,11 @@ def missing_weight(item: Item) -> AbsentItemError:
     return AbsentItemError(f"item {item} has no external utility")
 
 
+def quoted(text: str) -> str:
+    """repr(text) for an error message; long text by a short prefix and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:12]!r}... ({len(text)} characters)"
+
+
 # The collector's on/off switch is process-wide, so the pause count is too.
 _pause_lock = threading.Lock()
 _pause_depth = 0

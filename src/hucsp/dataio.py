@@ -35,6 +35,7 @@ from .core import (
     QSequenceDatabase,
     ResultSet,
     collector_paused,
+    quoted,
 )
 
 _TOKEN = re.compile(r"\S+")
@@ -44,15 +45,18 @@ _DIGITS = "0123456789"
 
 
 class ParseError(ValueError):
-    """Input text rejected at a specific line and column (both 1-based)."""
+    """Text rejected at a 1-based line and column.  Parsing keeps no positions:
+    the column is found here, at token k of the line's text or just past the last."""
 
-    def __init__(self, message: str, line: int, column: int):
+    def __init__(self, message: str, line: int, text: str, k: int):
+        spans = [m.span() for m in _TOKEN.finditer(text)]
+        column = spans[k][0] + 1 if k < len(spans) else spans[-1][1] + 1
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
 
-def _count_error(text: str, what: str, line: int, column: int) -> ParseError:
+def _count_error(count: str, what: str, line: int, text: str, k: int) -> ParseError:
     """The ParseError for a quantity or weight token that is not a count.
 
     A count is ASCII digits that int() parses.  Python refuses to parse ints
@@ -61,14 +65,14 @@ def _count_error(text: str, what: str, line: int, column: int) -> ParseError:
     short prefix, not echoed whole.
     """
     limit = sys.get_int_max_str_digits()
-    if not text.strip(_DIGITS) and 0 < limit < len(text):
+    if not count.strip(_DIGITS) and 0 < limit < len(count):
         return ParseError(
-            f"{what} {text[:12]}... has {len(text)} digits, above the limit of {limit}",
+            f"{what} {count[:12]}... has {len(count)} digits, above the limit of {limit}",
             line,
-            column,
+            text,
+            k,
         )
-    shown = repr(text) if len(text) <= 40 else f"{text[:12]!r}... ({len(text)} characters)"
-    return ParseError(f"malformed {what} {shown}", line, column)
+    return ParseError(f"malformed {what} {quoted(count)}", line, text, k)
 
 
 def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTable]:
@@ -77,28 +81,27 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
     weights: list[int] = []
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        tokens = line.split()
         if not tokens:
             continue
         if len(tokens) != 2:
-            tok, col = tokens[2] if len(tokens) > 2 else tokens[0]
-            raise ParseError("expected 'name weight'", lineno, col)
-        (name, name_col), (weight_text, weight_col) = tokens
+            raise ParseError("expected 'name weight'", lineno, line, 2 if len(tokens) > 2 else 0)
+        name, weight_text = tokens
         if ":" in name:
-            raise ParseError(f"item name {name!r} contains ':'", lineno, name_col)
+            raise ParseError(f"item name {name!r} contains ':'", lineno, line, 0)
         if name in ("-1", "-2"):
-            raise ParseError(f"item name {name!r} is reserved as a terminator", lineno, name_col)
+            raise ParseError(f"item name {name!r} is reserved as a terminator", lineno, line, 0)
         if name in seen:
-            raise ParseError(f"duplicate item name {name!r}", lineno, name_col)
+            raise ParseError(f"duplicate item name {name!r}", lineno, line, 0)
         try:
             # strip() leaves a non-digit wherever the token has one.
             if weight_text.strip(_DIGITS):
                 raise ValueError
             weight = int(weight_text)
         except ValueError:
-            raise _count_error(weight_text, "weight", lineno, weight_col) from None
+            raise _count_error(weight_text, "weight", lineno, line, 1) from None
         if weight < 1:
-            raise ParseError("external utility must be >= 1", lineno, weight_col)
+            raise ParseError("external utility must be >= 1", lineno, line, 1)
         seen.add(name)
         names.append(name)
         weights.append(weight)
@@ -112,50 +115,47 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
     ids = {name: i for i, name in enumerate(names)}
     sequences: list[QSequence] = []
     for lineno, line in enumerate(db_text.splitlines(), start=1):
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        tokens = line.split()
         if not tokens:
             continue
         itemsets: list[QItemset] = []
         current: list[QItem] = []
-        ended = False
-        for token, col in tokens:
-            if ended:
-                raise ParseError("content after end of sequence", lineno, col)
+        for k, token in enumerate(tokens):
             if token == "-2":
                 if current:
-                    raise ParseError("itemset not closed before -2", lineno, col)
+                    raise ParseError("itemset not closed before -2", lineno, line, k)
                 if not itemsets:
-                    raise ParseError("empty sequence", lineno, col)
-                ended = True
+                    raise ParseError("empty sequence", lineno, line, k)
+                if k + 1 < len(tokens):
+                    raise ParseError("content after end of sequence", lineno, line, k + 1)
             elif token == "-1":
                 if not current:
-                    raise ParseError("empty itemset", lineno, col)
+                    raise ParseError("empty itemset", lineno, line, k)
                 itemsets.append(tuple(current))
                 current = []
             else:
                 name, sep, quantity_text = token.partition(":")
                 if not sep or not name or not quantity_text:
-                    raise ParseError(f"malformed token {token!r}", lineno, col)
+                    raise ParseError(f"malformed token {token!r}", lineno, line, k)
                 item = ids.get(name)
                 if item is None:
-                    raise ParseError(f"unknown item {name!r}", lineno, col)
+                    raise ParseError(f"unknown item {name!r}", lineno, line, k)
                 try:
                     if quantity_text.strip(_DIGITS):
                         raise ValueError
                     quantity = int(quantity_text)
                 except ValueError:
-                    raise _count_error(quantity_text, "quantity", lineno, col) from None
+                    raise _count_error(quantity_text, "quantity", lineno, line, k) from None
                 if quantity < 1:
-                    raise ParseError("quantity must be >= 1", lineno, col)
+                    raise ParseError("quantity must be >= 1", lineno, line, k)
                 if current:
                     if current[-1].item == item:
-                        raise ParseError(f"duplicate item {name!r} in itemset", lineno, col)
+                        raise ParseError(f"duplicate item {name!r} in itemset", lineno, line, k)
                     if current[-1].item > item:
-                        raise ParseError("items out of ascending id order", lineno, col)
+                        raise ParseError("items out of ascending id order", lineno, line, k)
                 current.append(QItem(item, quantity))
-        if not ended:
-            last_token, last_col = tokens[-1]
-            raise ParseError("sequence not terminated by -2", lineno, last_col + len(last_token))
+        if tokens[-1] != "-2":
+            raise ParseError("sequence not terminated by -2", lineno, line, len(tokens))
         sequences.append(QSequence(len(sequences), tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), eut
 

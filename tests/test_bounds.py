@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,12 @@ class TestThreshold:
             Threshold.from_text(text, 106)
         assert len(str(err.value)) < 120
         assert f"({len(text)} characters)" in str(err.value)
+
+    def test_digit_limit_is_named(self):
+        # Well-formed, but Fraction cannot parse a 5,000-digit run into an int.
+        with pytest.raises(ValueError) as err:
+            Threshold.from_text("0." + "1" * 5000, 106)
+        assert f"above the limit of {sys.get_int_max_str_digits()}" in str(err.value)
 
     @pytest.mark.parametrize("text", ["1e-1000000", "1E-1", "5e-1"])
     def test_refuses_exponent_notation(self, text):

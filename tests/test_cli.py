@@ -131,6 +131,66 @@ class TestMine:
         assert "assertion failed" in err and "IEU grew along an extension" in err
 
 
+def _respelled(workdir, name):
+    """Another spelling of workdir/name, so that only a same-file check can match it."""
+    return f"{workdir}/../{workdir.name}/./{name}"
+
+
+class TestOutputNamesAnInput:
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    @pytest.mark.parametrize("name", ["db.txt", "eut.txt"])
+    def test_mine_output_is_an_input(self, workdir, capsys, flag, name):
+        args = _mine_args(workdir) + [flag, _respelled(workdir, name)]
+        assert main(args) == 1
+        assert "name the same file" in capsys.readouterr().err
+        assert (workdir / "db.txt").read_text(encoding="utf-8") == RUNNING_DB_TEXT
+        assert (workdir / "eut.txt").read_text(encoding="utf-8") == RUNNING_EUT_TEXT
+        assert not (workdir / "out.txt").exists()
+
+    def test_mine_out_is_report(self, workdir, capsys):
+        assert main(_mine_args(workdir) + ["--report", _respelled(workdir, "out.txt")]) == 1
+        assert "--report and --out name the same file" in capsys.readouterr().err
+        assert not (workdir / "out.txt").exists()
+
+    @pytest.mark.parametrize("name", ["db.txt", "eut.txt"])
+    def test_bench_report_is_an_input(self, workdir, capsys, name):
+        args = ["bench", str(workdir / "db.txt"), str(workdir / "eut.txt"), "--xi", "0.5",
+                "--report", _respelled(workdir, name)]
+        assert main(args) == 1
+        assert "name the same file" in capsys.readouterr().err
+        assert (workdir / "db.txt").read_text(encoding="utf-8") == RUNNING_DB_TEXT
+        assert (workdir / "eut.txt").read_text(encoding="utf-8") == RUNNING_EUT_TEXT
+
+    def test_gen_outputs_are_one_file(self, tmp_path, capsys):
+        args = ["gen", str(tmp_path / "same.txt"), _respelled(tmp_path, "same.txt"), "--sequences", "2"]
+        assert main(args) == 1
+        assert "EUT_OUT and DB_OUT name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "same.txt").exists()
+
+
+class TestCollector:
+    def test_one_pause_for_the_whole_command(self, workdir, monkeypatch):
+        import gc
+
+        import hucsp.cli as cli_module
+
+        enabled_in_mine = []
+        inner = cli_module.mine
+
+        def recording(*args, **kwargs):
+            enabled_in_mine.append(gc.isenabled())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "mine", recording)
+        assert gc.isenabled()
+        assert main(_mine_args(workdir)) == 0
+        assert enabled_in_mine == [False]
+        assert gc.isenabled()
+        (workdir / "db.txt").write_text("a:1 -1\n", encoding="utf-8")
+        assert main(_mine_args(workdir)) == 1
+        assert gc.isenabled()
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 1

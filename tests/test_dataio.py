@@ -7,7 +7,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A, B, C, E, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, q_databases
@@ -273,6 +273,21 @@ class TestValidate:
 # tokenizer or int() treat specially: \r, \x0b and \x1c end a line, and
 # int() would take the Arabic-Indic digit, the underscore and the sign.
 _FUZZ_ALPHABET = "ab:-012 \t\n\r\x0b\x1c\u0663_+"
+# Text from that alphabet, or tokens and separators from it, so that the
+# errors of a database line are reached too; the utility table is often a
+# valid one, so that the database is read at all.
+_FUZZ_TOKENS = st.sampled_from(("a:1", "b:2", "a:0", "b", "-1", "-2", "a:1 -1", "-1 -2"))
+_FUZZ_DB_TEXT = st.text(_FUZZ_ALPHABET, max_size=60) | st.lists(
+    st.tuples(
+        _FUZZ_TOKENS | st.text("ab:-012\u0663_+", min_size=1, max_size=4),
+        st.sampled_from((" ", "\t", "\n", "\r\n")),
+    ),
+    max_size=12,
+).map(lambda pairs: "".join(token + sep for token, sep in pairs))
+_FUZZ_EUT_TEXT = st.sampled_from(("a 1\nb 2\n", "b 3\na 1\n")) | st.text(_FUZZ_ALPHABET, max_size=30)
+# A token or name quoted in a ParseError message; a long one is shown as a
+# prefix and its length.
+_QUOTED = re.compile(r"'([^']*)'(?:\.\.\. \((\d+) characters\))?")
 
 
 class TestParserFuzz:
@@ -284,6 +299,46 @@ class TestParserFuzz:
             assert err.line >= 1 and err.column >= 1
             return
         assert parse_database(*serialize_database(db, eut)) == (db, eut)
+
+    @settings(max_examples=500)
+    @given(_FUZZ_DB_TEXT, _FUZZ_EUT_TEXT)
+    def test_error_column_lands_where_the_message_says(self, db_text, eut_text):
+        try:
+            parse_utility_table(eut_text)
+            failing_text = db_text
+        except ParseError:
+            failing_text = eut_text
+        try:
+            parse_database(db_text, eut_text)
+            return
+        except ParseError as raised:
+            err = raised
+        line = failing_text.splitlines()[err.line - 1]
+        message = str(err).removeprefix(f"line {err.line}, column {err.column}: ")
+        starts = [m.start() + 1 for m in re.finditer(r"\S+", line)]
+        tokens = line.split()
+        if message == "sequence not terminated by -2":
+            assert err.column == starts[-1] + len(tokens[-1])
+            return
+        k = starts.index(err.column)
+        token = tokens[k]
+        if message in ("itemset not closed before -2", "empty sequence"):
+            assert token == "-2"
+        elif message == "empty itemset":
+            assert token == "-1"
+        elif message == "content after end of sequence":
+            assert k > 0 and tokens[k - 1] == "-2"
+        quoted = _QUOTED.search(message)
+        if quoted and message != "expected 'name weight'":
+            name, _, quantity = token.partition(":")
+            shown, length = quoted.group(1), quoted.group(2)
+            if length is None:
+                assert shown in (token, name, quantity)
+            else:
+                assert any(
+                    part.startswith(shown) and len(part) == int(length)
+                    for part in (token, name, quantity)
+                )
 
     def test_mutated_inputs_never_crash(self):
         rng = random.Random(13)
