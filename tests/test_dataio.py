@@ -273,18 +273,20 @@ class TestValidate:
 # tokenizer or int() treat specially: \r, \x0b and \x1c end a line, and
 # int() would take the Arabic-Indic digit, the underscore and the sign.
 _FUZZ_ALPHABET = "ab:-012 \t\n\r\x0b\x1c\u0663_+"
-# Text from that alphabet, or tokens and separators from it, so that the
-# errors of a database line are reached too; the utility table is often a
-# valid one, so that the database is read at all.
-_FUZZ_TOKENS = st.sampled_from(("a:1", "b:2", "a:0", "b", "-1", "-2", "a:1 -1", "-1 -2"))
-_FUZZ_DB_TEXT = st.text(_FUZZ_ALPHABET, max_size=60) | st.lists(
+# Lines of whole tokens from that alphabet reach the errors of a database
+# line, and a valid utility table lets the database be read at all; a
+# branch repeated in one_of is drawn more often.
+_FUZZ_WORDS = st.sampled_from(("a:1", "b:2", "a:0", "b", "-1", "-2", "a:1 -1", "a:1 -1 -2"))
+_FUZZ_LINES = st.lists(
     st.tuples(
-        _FUZZ_TOKENS | st.text("ab:-012\u0663_+", min_size=1, max_size=4),
+        st.one_of(
+            _FUZZ_WORDS, _FUZZ_WORDS, _FUZZ_WORDS, st.text("ab:-012\u0663_+", min_size=1, max_size=4)
+        ),
         st.sampled_from((" ", "\t", "\n", "\r\n")),
     ),
     max_size=12,
-).map(lambda pairs: "".join(token + sep for token, sep in pairs))
-_FUZZ_EUT_TEXT = st.sampled_from(("a 1\nb 2\n", "b 3\na 1\n")) | st.text(_FUZZ_ALPHABET, max_size=30)
+).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+_FUZZ_TABLES = st.sampled_from(("a 1\nb 2\n", "b 3\na 1\n"))
 # A token or name quoted in a ParseError message; a long one is shown as a
 # prefix and its length.
 _QUOTED = re.compile(r"'([^']*)'(?:\.\.\. \((\d+) characters\))?")
@@ -301,7 +303,10 @@ class TestParserFuzz:
         assert parse_database(*serialize_database(db, eut)) == (db, eut)
 
     @settings(max_examples=500)
-    @given(_FUZZ_DB_TEXT, _FUZZ_EUT_TEXT)
+    @given(
+        st.one_of(st.text(_FUZZ_ALPHABET, max_size=60), _FUZZ_LINES, _FUZZ_LINES),
+        st.one_of(_FUZZ_TABLES, _FUZZ_TABLES, st.text(_FUZZ_ALPHABET, max_size=30)),
+    )
     def test_error_column_lands_where_the_message_says(self, db_text, eut_text):
         try:
             parse_utility_table(eut_text)
