@@ -42,8 +42,8 @@ db, eut = parse_database(DB_TEXT, EUT_TEXT)
 A, B, C, D, E, F = range(6)
 
 print("== the database ==")
-for seq in db.sequences:
-    print(f"  S{seq.sid + 1}: u = {q_sequence_utility(seq, eut)}")
+for sid, seq in enumerate(db.sequences):
+    print(f"  S{sid + 1}: u = {q_sequence_utility(seq, eut)}")
 print(f"  total utility u(D) = {db_utility(db, eut)}")
 
 print("\n== utility of <{a},{c}> ==")

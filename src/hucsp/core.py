@@ -47,7 +47,6 @@ QItemset = tuple[QItem, ...]
 class QSequence:
     """One q-sequence: itemset k sits at 1-based position k."""
 
-    sid: int
     itemsets: tuple[QItemset, ...]
 
     def iter_slots(self) -> Iterator[tuple[int, QItem]]:
@@ -59,15 +58,10 @@ class QSequence:
 
 @dataclass(frozen=True)
 class QSequenceDatabase:
-    """Sequences in ascending sid order plus the id -> display-name table."""
+    """Sequences plus the item id -> display-name table; a sequence's sid is its index."""
 
     sequences: tuple[QSequence, ...]
     names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        sids = [q.sid for q in self.sequences]
-        if sids != sorted(set(sids)):
-            raise ValueError("sequence sids must be unique and ascending")
 
 
 @dataclass(frozen=True)
@@ -131,11 +125,11 @@ def collector_paused() -> Iterator[None]:
 def item_utility(item: Item, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Utility of one q-item occurrence: quantity times external utility."""
     if not 1 <= pos <= len(seq.itemsets):
-        raise IndexError(f"sequence {seq.sid} has no position {pos}")
+        raise IndexError(f"sequence has no position {pos}")
     for qitem in seq.itemsets[pos - 1]:
         if qitem.item == item:
             return qitem.quantity * eut.weight(item)
-    raise AbsentItemError(f"item {item} absent at position {pos} of sequence {seq.sid}")
+    raise AbsentItemError(f"item {item} absent at position {pos}")
 
 
 def itemset_utility(items: tuple[Item, ...], pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
@@ -201,9 +195,7 @@ def ending_positions(pattern: Pattern, seq: QSequence) -> tuple[int, ...]:
 def instance_utility(pattern: Pattern, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Utility of the pattern instance ending at pos."""
     if pos not in ending_positions(pattern, seq):
-        raise NoInstanceError(
-            f"pattern has no instance ending at position {pos} of sequence {seq.sid}"
-        )
+        raise NoInstanceError(f"pattern has no instance ending at position {pos}")
     m = len(pattern)
     return sum(itemset_utility(pattern[k], pos - m + 1 + k, seq, eut) for k in range(m))
 
@@ -212,7 +204,7 @@ def pattern_utility_in_sequence(pattern: Pattern, seq: QSequence, eut: ExternalU
     """Maximum instance utility of the pattern within one sequence."""
     eps = ending_positions(pattern, seq)
     if not eps:
-        raise NoInstanceError(f"pattern has no instance in sequence {seq.sid}")
+        raise NoInstanceError("pattern has no instance in the sequence")
     return max(instance_utility(pattern, p, seq, eut) for p in eps)
 
 

@@ -156,7 +156,7 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
                 current.append(QItem(item, quantity))
         if tokens[-1] != "-2":
             raise ParseError("sequence not terminated by -2", lineno, line, len(tokens))
-        sequences.append(QSequence(len(sequences), tuple(itemsets)))
+        sequences.append(QSequence(tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), eut
 
 
@@ -166,9 +166,7 @@ def serialize_database(db: QSequenceDatabase, eut: ExternalUtilityTable) -> tupl
         raise ValueError("names and weights must be the same length")
     eut_lines = [f"{name} {weight}" for name, weight in zip(db.names, eut.weights)]
     db_lines = []
-    for expected_sid, seq in enumerate(db.sequences):
-        if seq.sid != expected_sid:
-            raise ValueError("cannot serialize a database with sid gaps")
+    for seq in db.sequences:
         parts = []
         for itemset in seq.itemsets:
             parts.extend(f"{db.names[q.item]}:{q.quantity}" for q in itemset)
@@ -225,13 +223,13 @@ def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, Exte
     weights = tuple(rng.randint(1, params.max_weight) for _ in names)
     top_size = min(params.max_items_per_itemset, params.distinct_items)
     sequences = []
-    for sid in range(params.sequence_count):
+    for _ in range(params.sequence_count):
         itemsets = []
         for _ in range(rng.randint(1, params.max_itemsets_per_seq)):
             size = rng.randint(1, top_size)
             members = sorted(rng.sample(range(params.distinct_items), size))
             itemsets.append(tuple(QItem(i, rng.randint(1, params.max_quantity)) for i in members))
-        sequences.append(QSequence(sid, tuple(itemsets)))
+        sequences.append(QSequence(tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), ExternalUtilityTable(weights)
 
 
@@ -241,24 +239,24 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
     for i, weight in enumerate(eut.weights):
         if weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
-    for seq in db.sequences:
+    for sid, seq in enumerate(db.sequences):
         for pos, itemset in enumerate(seq.itemsets, start=1):
             if not itemset:
-                problems.append(f"sequence {seq.sid}, position {pos}: empty itemset")
+                problems.append(f"sequence {sid}, position {pos}: empty itemset")
             last = -1
             for qitem in itemset:
                 if qitem.item <= last:
                     problems.append(
-                        f"sequence {seq.sid}, position {pos}: items not strictly ascending"
+                        f"sequence {sid}, position {pos}: items not strictly ascending"
                     )
                 last = qitem.item
                 if qitem.quantity < 1:
                     problems.append(
-                        f"sequence {seq.sid}, position {pos}: quantity must be >= 1"
+                        f"sequence {sid}, position {pos}: quantity must be >= 1"
                     )
                 if qitem.item < 0 or qitem.item >= len(eut.weights):
                     problems.append(
-                        f"sequence {seq.sid}, position {pos}: "
+                        f"sequence {sid}, position {pos}: "
                         f"missing external utility for item {qitem.item}"
                     )
     return problems

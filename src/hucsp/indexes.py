@@ -59,7 +59,7 @@ def build_sil(
     weight_of = dict(enumerate(eut.weights))
     sils: dict[int, SIL] = {}
     try:
-        for seq in db.sequences:
+        for sid, seq in enumerate(db.sequences):
             left = 0
             sil: SIL = {}
             pos = len(seq.itemsets)
@@ -75,7 +75,7 @@ def build_sil(
                     sil[pos] = tuple(row)
                 pos -= 1
             if sil:
-                sils[seq.sid] = sil
+                sils[sid] = sil
     except KeyError as e:
         raise missing_weight(e.args[0]) from None
     return sils

@@ -143,7 +143,7 @@ def q_databases(draw):
     eut = ExternalUtilityTable(tuple(draw(st.integers(1, 5)) for _ in range(n_items)))
     names = tuple(f"i{k}" for k in range(n_items))
     sequences = []
-    for sid in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         itemsets = tuple(_hyp_itemset(draw, n_items, 3) for _ in range(draw(st.integers(1, 4))))
-        sequences.append(QSequence(sid, itemsets))
+        sequences.append(QSequence(itemsets))
     return QSequenceDatabase(tuple(sequences), names), eut

@@ -167,7 +167,7 @@ class TestGUIP:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(0, ((QItem(0, 1), QItem(item, 1)),))
+        seq = QSequence(((QItem(0, 1), QItem(item, 1)),))
         db = QSequenceDatabase((seq,), ("a",))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             guip_revise(db, ExternalUtilityTable((3,)), Threshold.from_text("0.5", 4))

@@ -88,7 +88,7 @@ class TestSequenceUtility:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(0, ((QItem(0, 1), QItem(item, 1)),))
+        seq = QSequence(((QItem(0, 1), QItem(item, 1)),))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             db_utility(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 
@@ -184,7 +184,6 @@ class TestContains:
     def test_contiguity(self):
         # host <{c},{ab},{aef}>: <{a},{af}> fits consecutively, <{e},{ab}> cannot
         host = QSequence(
-            0,
             (
                 (QItem(C, 1),),
                 (QItem(A, 1), QItem(B, 1)),

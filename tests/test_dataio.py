@@ -65,7 +65,6 @@ class TestParseDatabase:
         db, eut = running
         assert len(db.sequences) == 5
         assert db.names == ("a", "b", "c", "d", "e", "f")
-        assert [s.sid for s in db.sequences] == [0, 1, 2, 3, 4]
         assert db_utility(db, eut) == 106
         assert db.sequences[0].itemsets[0] == (QItem(B, 2), QItem(F, 4))
 
@@ -156,12 +155,6 @@ class TestSerializeDatabase:
         db, eut = running
         assert serialize_database(db, eut) == (RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
 
-    def test_refuses_sid_gaps(self):
-        seq = QSequence(7, ((QItem(0, 1),),))
-        db = QSequenceDatabase((seq,), ("a",))
-        with pytest.raises(ValueError, match="sid"):
-            serialize_database(db, parse_utility_table("a 1\n")[1])
-
     @given(q_databases())
     def test_round_trips_random_databases(self, dbeut):
         db, eut = dbeut
@@ -240,7 +233,7 @@ class TestValidate:
         assert validate(db, eut) == []
 
     def _db(self, *itemsets):
-        return QSequenceDatabase((QSequence(0, itemsets),), ("a", "b", "c"))
+        return QSequenceDatabase((QSequence(itemsets),), ("a", "b", "c"))
 
     def test_reports_violations(self):
         _, eut = parse_utility_table("a 1\nb 1\nc 1\n")

@@ -106,7 +106,7 @@ class TestSIL:
     def test_text_splits_at_every_gap(self, data):
         db, eut = data.draw(q_databases())
         deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
-        seqs = {seq.sid: seq for seq in db.sequences}
+        seqs = dict(enumerate(db.sequences))
         for sid, sil in build_sil(db, eut, deleted).items():
             keeps = [any(q.item not in deleted for q in s) for s in seqs[sid].itemsets]
             runs = [len(list(group)) for kept, group in itertools.groupby(keeps) if kept]
@@ -118,9 +118,9 @@ class TestSIL:
         db, eut = data.draw(q_databases())
         deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
         sils = build_sil(db, eut, deleted)
-        assert set(sils) <= {seq.sid for seq in db.sequences}
+        assert set(sils) <= set(range(len(db.sequences)))
         swu: dict[int, int] = {}
-        for seq in db.sequences:
+        for sid, seq in enumerate(db.sequences):
             kept = {}
             for pos, itemset in enumerate(seq.itemsets, start=1):
                 row = [
@@ -131,9 +131,9 @@ class TestSIL:
                 if row:
                     kept[pos] = row
             if not kept:
-                assert seq.sid not in sils
+                assert sid not in sils
                 continue
-            sil = sils[seq.sid]
+            sil = sils[sid]
             assert sorted(sil) == sorted(kept)
             for pos, row in kept.items():
                 assert [(item, utility) for item, utility, _ in sil[pos]] == row
@@ -152,7 +152,7 @@ class TestSIL:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(0, ((QItem(0, 1), QItem(item, 1)),))
+        seq = QSequence(((QItem(0, 1), QItem(item, 1)),))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             build_sil(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 
@@ -264,14 +264,14 @@ class TestChainsAgreeWithCalculus:
     def test_initial_chains(self, dbeut):
         db, eut = dbeut
         sils = build_sil(db, eut)
-        seqs = {s.sid: s for s in db.sequences}
+        seqs = dict(enumerate(db.sequences))
         initial = build_initial_ichains(sils)
         items = {q.item for s in db.sequences for _, q in s.iter_slots()}
         assert set(initial) == items
         for item, chain in initial.items():
             pattern = ((item,),)
             contained = {
-                s.sid for s in db.sequences if ending_positions(pattern, s)
+                sid for sid, s in seqs.items() if ending_positions(pattern, s)
             }
             assert {il.sid for il in chain.lists} == contained
             for il in chain.lists:
@@ -285,7 +285,7 @@ class TestChainsAgreeWithCalculus:
     def test_extensions(self, dbeut):
         db, eut = dbeut
         sils = build_sil(db, eut)
-        seqs = {s.sid: s for s in db.sequences}
+        seqs = dict(enumerate(db.sequences))
 
         def grow(chain):
             i_items, s_items = _extension_items(chain, sils)
@@ -293,7 +293,7 @@ class TestChainsAgreeWithCalculus:
 
         def check(ext, utility):
             assert [il.sid for il in ext.lists] == [
-                s.sid for s in db.sequences if ending_positions(ext.pattern, s)
+                sid for sid, s in seqs.items() if ending_positions(ext.pattern, s)
             ]
             for il in ext.lists:
                 seq = seqs[il.sid]

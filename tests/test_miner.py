@@ -56,12 +56,12 @@ def databases_where_guip_leaves_a_gap(draw):
     z = len(eut.weights)
     seq = draw(st.sampled_from(db.sequences))
     at = draw(st.integers(1, max(1, len(seq.itemsets) - 1)))
-    gapped = QSequence(seq.sid, (*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
+    gapped = QSequence((*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
     scale = 10 * (db_utility(db, eut) + 2)
     heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seq.itemsets)
     sequences = tuple(gapped if s is seq else s for s in db.sequences)
     return (
-        QSequenceDatabase((*sequences, QSequence(len(sequences), heavy)), (*db.names, "z")),
+        QSequenceDatabase((*sequences, QSequence(heavy)), (*db.names, "z")),
         ExternalUtilityTable((*eut.weights, 1)),
     )
 
@@ -75,7 +75,7 @@ def huge_quantity_databases(draw):
         return QItem(qitem.item, qitem.quantity * 10**30 + draw(st.integers(0, 10**30)))
 
     sequences = tuple(
-        QSequence(seq.sid, tuple(tuple(map(huge, s)) for s in seq.itemsets))
+        QSequence(tuple(tuple(map(huge, s)) for s in seq.itemsets))
         for seq in db.sequences
     )
     return QSequenceDatabase(sequences, db.names), eut
@@ -245,10 +245,10 @@ class TestOracleEquivalence:
         first = ((QItem(a, 50),), (QItem(z, 1),), (QItem(b, 50),), (QItem(a, 10), QItem(b, 10)))
         db = QSequenceDatabase(
             (
-                QSequence(0, first),
-                QSequence(1, ((QItem(a, 30), QItem(b, 30)),)),
-                QSequence(2, ((QItem(c, 200),),)),
-                QSequence(3, ((QItem(a, 40),), (QItem(b, 40),))),
+                QSequence(first),
+                QSequence(((QItem(a, 30), QItem(b, 30)),)),
+                QSequence(((QItem(c, 200),),)),
+                QSequence(((QItem(a, 40),), (QItem(b, 40),))),
             ),
             ("a", "b", "z", "c"),
         )
