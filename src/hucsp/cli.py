@@ -21,7 +21,6 @@ import os
 import sys
 import time
 
-from .bounds import Threshold
 from .core import collector_paused
 from .dataio import (
     GeneratorParams,
@@ -181,7 +180,6 @@ def _run_report(
 def cmd_mine(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     _refuse_overwrite({"DB": args.db, "EUT": args.eut}, {"--out": args.out, "--report": args.report})
-    db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     config = MiningConfig(
         xi=args.xi,
         enable_guip=not args.no_guip,
@@ -189,6 +187,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         max_pattern_length=args.max_len,
         assert_bounds=args.assert_bounds,
     )
+    db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     results, stats = mine(db, eut, config)
     _write_text(args.out, serialize_results(results, db.names))
     _emit_report(_run_report("mine", args, config, stats, len(results), started), args.report)
@@ -196,8 +195,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     config = MiningConfig(xi=args.xi, max_pattern_length=args.max_len)
+    db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     results, _ = mine(db, eut, config)
     expected = oracle_mine(db, eut, args.xi, max_len=args.max_len, cap=args.oracle_cap)
     if results == expected:
@@ -239,12 +238,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not xis:
         raise ValueError("no thresholds given")
     # Refuse a bad list before any mining, so it leaves no report line.
-    for xi in xis:
-        Threshold.from_text(xi, 0)
+    configs = [MiningConfig(xi=xi) for xi in xis]
     db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
-    for xi in xis:
+    for config in configs:
         started = time.perf_counter()
-        config = MiningConfig(xi=xi)
         results, stats = mine(db, eut, config)
         _emit_report(_run_report("bench", args, config, stats, len(results), started), args.report)
     return 0

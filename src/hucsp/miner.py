@@ -55,6 +55,8 @@ class MiningConfig:
     assert_bounds: bool = False
 
     def __post_init__(self) -> None:
+        # Refuse bad text before any input is read; mine() parses it again.
+        Threshold.from_text(self.xi, 0)
         if self.max_pattern_length is not None and self.max_pattern_length < 1:
             raise ValueError(f"max_pattern_length must be >= 1, got {self.max_pattern_length}")
 

@@ -106,8 +106,12 @@ def enumerate_patterns(
 
 
 def select_high_utility(universe: dict[Pattern, int], threshold: Threshold) -> ResultSet:
-    """Filter a pattern universe by threshold; canonical order."""
-    return sort_results((p, u) for p, u in universe.items() if threshold.admits(u))
+    """Filter a pattern universe by threshold; canonical order.
+
+    Compares against the exact rational, not the miner's integer ceiling, so
+    a fault in that compare shows as a disagreement.
+    """
+    return sort_results((p, u) for p, u in universe.items() if u >= threshold.min_utility)
 
 
 def oracle_mine(

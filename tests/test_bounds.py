@@ -65,11 +65,16 @@ class TestThreshold:
 
     @pytest.mark.parametrize(
         "text",
-        ["-0.1", "1.01", "2", "abc", "", "0.2.5", "٠.٥", "０.5", "0.0_5", "+0.5", "-0", ".", "1/"],
+        ["-0.1", "1.01", "2", "abc", "", "0.2.5", "٠.٥", "０.5", "0.0_5", "+0.5", "-0", ".", "1/",
+         "1/0"],
     )
     def test_rejects(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             Threshold.from_text(text, 106)
+        out_of_range = text in ("1.01", "2")
+        assert str(err.value).startswith(
+            "threshold out of range" if out_of_range else "invalid threshold"
+        )
 
     @pytest.mark.parametrize("text", [" 0.25\n", "1/4", ".25", "25/100"])
     def test_accepts_ascii_decimals_and_ratios(self, text):

@@ -92,6 +92,14 @@ class TestMine:
         assert main(args) == 1
         assert "invalid threshold" in capsys.readouterr().err
 
+    def test_bad_threshold_is_refused_before_any_file_is_read(self, workdir, capsys):
+        args = _mine_args(workdir)
+        args[1] = str(workdir / "nope.txt")
+        args[args.index("0.25")] = "abc"
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "invalid threshold 'abc'" in err and "nope.txt" not in err
+
     def test_parse_error_has_position(self, workdir, capsys):
         (workdir / "db.txt").write_text("a:1 -1\n", encoding="utf-8")
         assert main(_mine_args(workdir)) == 1
@@ -224,6 +232,12 @@ class TestCheck:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "mismatch" in err and "reference" in err
+
+    def test_bad_threshold_is_refused_before_any_file_is_read(self, workdir, capsys):
+        args = ["check", str(workdir / "nope.txt"), str(workdir / "eut.txt"), "--xi", "abc"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "invalid threshold 'abc'" in err and "nope.txt" not in err
 
     def test_oracle_cap_exits_3(self, workdir, capsys):
         args = [

@@ -155,6 +155,11 @@ class TestSerializeDatabase:
         db, eut = running
         assert serialize_database(db, eut) == (RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
 
+    def test_refuses_names_and_weights_of_different_lengths(self, running):
+        db, _ = running
+        with pytest.raises(ValueError, match="names and weights must be the same length"):
+            serialize_database(db, parse_utility_table("a 1\n")[1])
+
     @given(q_databases())
     def test_round_trips_random_databases(self, dbeut):
         db, eut = dbeut
@@ -280,13 +285,28 @@ _FUZZ_LINES = st.lists(
     max_size=12,
 ).map(lambda pairs: "".join(word + sep for word, sep in pairs))
 _FUZZ_TABLES = st.sampled_from(("a 1\nb 2\n", "b 3\na 1\n"))
+# Lines of whole sequences, joined by the alphabet's line ends, let the
+# round trip see databases that parse; which itemsets are in ascending id
+# order depends on the table drawn with them.
+_FUZZ_ITEMSETS = st.sampled_from(("a:1", "b:2", "a:1 b:2", "b:3 a:1", "a:12 b:1"))
+_FUZZ_SEQUENCES = st.lists(
+    st.tuples(
+        st.lists(_FUZZ_ITEMSETS, min_size=1, max_size=3).map(lambda sets: " -1 ".join(sets)),
+        st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x1c")),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda pairs: "".join(f"{sets} -1 -2{end}" for sets, end in pairs))
 # A token or name quoted in a ParseError message; a long one is shown as a
 # prefix and its length.
 _QUOTED = re.compile(r"'([^']*)'(?:\.\.\. \((\d+) characters\))?")
 
 
 class TestParserFuzz:
-    @given(st.text(_FUZZ_ALPHABET, max_size=60), st.text(_FUZZ_ALPHABET, max_size=30))
+    @given(
+        st.one_of(st.text(_FUZZ_ALPHABET, max_size=60), _FUZZ_SEQUENCES),
+        st.one_of(_FUZZ_TABLES, st.text(_FUZZ_ALPHABET, max_size=30)),
+    )
     def test_text_is_refused_at_a_place_or_round_trips(self, db_text, eut_text):
         try:
             db, eut = parse_database(db_text, eut_text)

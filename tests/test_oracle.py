@@ -90,6 +90,16 @@ class TestOracleMine:
         above_27 = select_high_utility(universe, Threshold(Fraction(28, 106), Fraction(28)))
         assert dict(above_27) == {((A,), (C,)): 36}
 
+    def test_does_not_share_the_miners_compare(self, running, monkeypatch):
+        from hucsp.miner import MiningConfig, mine
+
+        db, eut = running
+        # <{b,f}> has utility 27, exactly the bar at this threshold.
+        monkeypatch.setattr(Threshold, "admits", lambda self, u: u > self.least_admitted)
+        results, _ = mine(db, eut, MiningConfig(xi="27/106"))
+        assert results != oracle_mine(db, eut, "27/106")
+        assert (((B, F),), 27) in oracle_mine(db, eut, "27/106")
+
     def test_rejects_bad_threshold(self, running):
         db, eut = running
         with pytest.raises(ValueError):
