@@ -97,8 +97,9 @@ class TestOracleMine:
         # <{b,f}> has utility 27, exactly the bar at this threshold.
         monkeypatch.setattr(Threshold, "admits", lambda self, u: u > self.least_admitted)
         results, _ = mine(db, eut, MiningConfig(xi="27/106"))
-        assert results != oracle_mine(db, eut, "27/106")
-        assert (((B, F),), 27) in oracle_mine(db, eut, "27/106")
+        expected = oracle_mine(db, eut, "27/106")
+        assert (((B, F),), 27) in expected
+        assert results != expected
 
     def test_rejects_bad_threshold(self, running):
         db, eut = running
