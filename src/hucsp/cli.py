@@ -133,12 +133,22 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _peak_memory_bytes() -> int | None:
+    """This process's whole-run peak resident set, in bytes.
+
+    Linux's VmHWM starts afresh at exec; ru_maxrss, the fallback where /proc
+    is missing, is kept across exec, so it can count the process before it.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover
         return None
-    # ru_maxrss is the process-lifetime peak in KiB on Linux; an estimate of
-    # this run's footprint, not a per-run measurement.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 

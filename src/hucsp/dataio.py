@@ -240,6 +240,8 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
         if weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
     for sid, seq in enumerate(db.sequences):
+        if not seq.itemsets:
+            problems.append(f"sequence {sid}: empty sequence")
         for pos, itemset in enumerate(seq.itemsets, start=1):
             if not itemset:
                 problems.append(f"sequence {sid}, position {pos}: empty itemset")

@@ -14,10 +14,11 @@ gap.
 
 An IChain indexes every instance of one pattern: per containing sequence, the
 (ending position, instance utility) pairs in ascending position order, as
-plain tuples.  Chains for extended patterns are built from the parent chain
-plus the SIL without touching the database again: one pass over a parent
-chain builds the chains of all requested siblings of one kind and their
-utilities.
+plain tuples.  A single-item chain is built from its item's run of
+occurrences only when it is looked up.  Chains for extended patterns are
+built from the parent chain plus the SIL without touching the database
+again: one pass over a parent chain builds the chains of all requested
+siblings of one kind and their utilities.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import AbstractSet, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ExternalUtilityTable,
@@ -113,25 +114,56 @@ class IChain:
     lists: tuple[InstanceList, ...]
 
 
-def build_initial_ichains(sils: Mapping[int, SIL]) -> dict[Item, IChain]:
+class _SeedChains(Mapping[Item, IChain]):
+    """Single-item chains, each built from its item's run when looked up.
+
+    A run holds every occurrence of one item as flat sid, position, utility
+    values in sid and position order.  Nothing built is kept, so a caller
+    that walks values() holds one chain at a time.
+    """
+
+    def __init__(self, runs: dict[Item, list[int]]) -> None:
+        self._runs = runs
+
+    def __getitem__(self, item: Item) -> IChain:
+        lists: list[InstanceList] = []
+        elements: list[tuple[int, int]] = []
+        last = None
+        values = iter(self._runs[item])
+        for sid, pos, utility in zip(values, values, values):
+            if sid != last:
+                if elements:
+                    lists.append(_new_list((last, tuple(elements))))
+                    elements = []
+                last = sid
+            elements.append((pos, utility))
+        lists.append(_new_list((last, tuple(elements))))
+        return IChain(((item,),), tuple(lists))
+
+    def __iter__(self) -> Iterator[Item]:
+        return iter(self._runs)
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+
+def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
     """IChains of every single-item pattern in the indexed database, in item order.
 
     sils must hold its sids in ascending order, as build_sil returns them;
-    each SIL is walked once in position order, so every list comes out sorted.
+    each SIL is walked once in position order, so every run comes out
+    sorted.  Each chain is built when it is looked up (see _SeedChains).
     """
-    per_item: defaultdict[Item, list[InstanceList]] = defaultdict(list)
+    runs: defaultdict[Item, list[int]] = defaultdict(list)
     last_sid = None
     for sid, sil in sils.items():
         if last_sid is not None and sid <= last_sid:
             raise ValueError("SILs must be in ascending sid order")
         last_sid = sid
-        in_sequence: defaultdict[Item, list[tuple[int, int]]] = defaultdict(list)
         for pos, row in reversed(sil.items()):
             for item, utility, _ in row:
-                in_sequence[item].append((pos, utility))
-        for item, elements in in_sequence.items():
-            per_item[item].append(_new_list((sid, tuple(elements))))
-    return {item: IChain(((item,),), tuple(per_item[item])) for item in sorted(per_item)}
+                runs[item].extend((sid, pos, utility))
+    return _SeedChains({item: runs[item] for item in sorted(runs)})
 
 
 def _extend_ichains(

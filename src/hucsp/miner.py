@@ -7,7 +7,8 @@ is reachable along exactly one path, so nothing is emitted twice.
 
 Pipeline: validate, fix the minimum utility from the original database
 utility, name the hopeless items (SWU, to a fixpoint), build the SILs
-without them and the single-item chains, then grow them all from one stack.
+without them, then grow every single-item pattern from one stack, building
+each one's chain only when the search reaches it.
 Extensions whose IEU falls below the minimum are pruned with their subtrees.
 
 A candidate is counted for every single-item pattern surviving deletion and
@@ -18,6 +19,7 @@ emitted utility-qualified patterns over candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .bounds import Threshold, extension_utilizations, guip_revise, luip_admits
 from .core import (
@@ -81,63 +83,66 @@ class MiningStats:
 
 
 def recursive_search(
-    seeds: list[tuple[IChain, int]],
+    seeds: Iterable[tuple[IChain, int]],
     sils: dict[int, SIL],
     threshold: Threshold,
     config: MiningConfig,
 ) -> tuple[dict[Pattern, int], int, int]:
     """Grow every pattern from the single-item (chain, utility) seeds, in item order.
 
-    One explicit stack, so depth is not bound by the call stack, holds the
-    seeds and pops nodes in recursion order (item-extensions before
-    sequence-extensions, items ascending).  A popped node is recorded if it
-    qualifies, then expanded unless at the length cap: one luip_admits call
-    and one pass over its chain per extension kind.  Returns (qualifying
-    pattern -> utility, candidates, LUIP-pruned extensions).
+    One explicit stack, so depth is not bound by the call stack, pops nodes
+    in recursion order (item-extensions before sequence-extensions, items
+    ascending).  The next seed is pulled only when the stack is empty, so
+    a lazy seed iterable never has more than one seed chain in use.  A
+    popped node is recorded if it qualifies, then expanded unless at the
+    length cap: one luip_admits call and one pass over its chain per
+    extension kind.  Returns (qualifying pattern -> utility, candidates,
+    LUIP-pruned extensions).
     """
     found: dict[Pattern, int] = {}
-    candidates, luip_pruned = len(seeds), 0
+    candidates, luip_pruned = 0, 0
     # (chain, its utility, the IEU it was admitted under; None for a seed)
-    stack: list[tuple[IChain, int, int | None]] = [
-        (chain, utility, None) for chain, utility in reversed(seeds)
-    ]
-    while stack:
-        prefix, utility, prefix_bound = stack.pop()
-        if threshold.admits(utility):
-            found[prefix.pattern] = utility
-        if (
-            config.max_pattern_length is not None
-            and pattern_length(prefix.pattern) >= config.max_pattern_length
-        ):
-            continue
-        i_bounds, s_bounds = extension_utilizations(prefix, sils)
-        children: list[tuple[IChain, int, int]] = []
-        for bounds_map, extend in ((i_bounds, extend_ichain_i), (s_bounds, extend_ichain_s)):
-            candidates += len(bounds_map)
-            if config.assert_bounds and prefix_bound is not None:
-                for item, ieu in sorted(bounds_map.items()):
-                    if ieu > prefix_bound:
-                        raise BoundViolationError(
-                            f"IEU grew along an extension: {ieu} > {prefix_bound} "
-                            f"extending {prefix.pattern} with item {item}"
-                        )
-            if config.enable_luip:
-                admitted = luip_admits(bounds_map, threshold)
-                luip_pruned += len(bounds_map) - len(admitted)
-            else:
-                admitted = sorted(bounds_map)
-            # Most nodes admit no extension of a kind; skip the pass over the chain.
-            if not admitted:
+    stack: list[tuple[IChain, int, int | None]] = []
+    for seed, seed_utility in seeds:
+        candidates += 1
+        stack.append((seed, seed_utility, None))
+        while stack:
+            prefix, utility, prefix_bound = stack.pop()
+            if threshold.admits(utility):
+                found[prefix.pattern] = utility
+            if (
+                config.max_pattern_length is not None
+                and pattern_length(prefix.pattern) >= config.max_pattern_length
+            ):
                 continue
-            for item, (child, child_utility) in zip(admitted, extend(prefix, admitted, sils)):
-                ieu = bounds_map[item]
-                if config.assert_bounds and child_utility > ieu:
-                    raise BoundViolationError(
-                        f"utility exceeds its extension bound: {child_utility} > {ieu} "
-                        f"for {child.pattern}"
-                    )
-                children.append((child, child_utility, ieu))
-        stack.extend(reversed(children))
+            i_bounds, s_bounds = extension_utilizations(prefix, sils)
+            children: list[tuple[IChain, int, int]] = []
+            for bounds_map, extend in ((i_bounds, extend_ichain_i), (s_bounds, extend_ichain_s)):
+                candidates += len(bounds_map)
+                if config.assert_bounds and prefix_bound is not None:
+                    for item, ieu in sorted(bounds_map.items()):
+                        if ieu > prefix_bound:
+                            raise BoundViolationError(
+                                f"IEU grew along an extension: {ieu} > {prefix_bound} "
+                                f"extending {prefix.pattern} with item {item}"
+                            )
+                if config.enable_luip:
+                    admitted = luip_admits(bounds_map, threshold)
+                    luip_pruned += len(bounds_map) - len(admitted)
+                else:
+                    admitted = sorted(bounds_map)
+                # Most nodes admit no extension of a kind; skip the pass over the chain.
+                if not admitted:
+                    continue
+                for item, (child, child_utility) in zip(admitted, extend(prefix, admitted, sils)):
+                    ieu = bounds_map[item]
+                    if config.assert_bounds and child_utility > ieu:
+                        raise BoundViolationError(
+                            f"utility exceeds its extension bound: {child_utility} > {ieu} "
+                            f"for {child.pattern}"
+                        )
+                    children.append((child, child_utility, ieu))
+            stack.extend(reversed(children))
     return found, candidates, luip_pruned
 
 
@@ -157,8 +162,10 @@ def mine(
     else:
         deleted, rounds = frozenset(), 0
     sils = build_sil(db, eut, deleted)
-    initial = build_initial_ichains(sils)
-    seeds = [(chain, ichain_pattern_utility(chain)) for chain in initial.values()]
+    # Each seed chain is built as the search reaches it and dropped with its subtree.
+    seeds = (
+        (chain, ichain_pattern_utility(chain)) for chain in build_initial_ichains(sils).values()
+    )
     found, candidates, luip_pruned = recursive_search(seeds, sils, threshold, config)
     stats = MiningStats(
         candidates=candidates,

@@ -18,6 +18,7 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
+    db_utility,
     pattern_length,
 )
 from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
@@ -147,3 +148,29 @@ def q_databases(draw):
         itemsets = tuple(_hyp_itemset(draw, n_items, 3) for _ in range(draw(st.integers(1, 4))))
         sequences.append(QSequence(itemsets))
     return QSequenceDatabase(tuple(sequences), names), eut
+
+
+@st.composite
+def databases_where_guip_leaves_a_gap(draw):
+    """A database with an item z, alone in its itemset, that GUIP deletes at xi >= 0.2.
+
+    z (weight 1, quantity 1) fills an itemset of its own in one sequence S,
+    after S's first itemset and, when S has two or more, before its last.
+    An added last sequence repeats S without z, quantities scaled up, so
+    SWU(z), at most u(S) + 1, stays below a fifth of u(D), while the
+    repeated sequence clears every threshold drawn with it.  Deleting z must
+    leave a gap: closing it up would let S add the repeated sequence's
+    pattern too.
+    """
+    db, eut = draw(q_databases())
+    z = len(eut.weights)
+    seq = draw(st.sampled_from(db.sequences))
+    at = draw(st.integers(1, max(1, len(seq.itemsets) - 1)))
+    gapped = QSequence((*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
+    scale = 10 * (db_utility(db, eut) + 2)
+    heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seq.itemsets)
+    sequences = tuple(gapped if s is seq else s for s in db.sequences)
+    return (
+        QSequenceDatabase((*sequences, QSequence(heavy)), (*db.names, "z")),
+        ExternalUtilityTable((*eut.weights, 1)),
+    )

@@ -62,6 +62,24 @@ class TestMine:
             first.pop(volatile), second.pop(volatile)
         assert first == second
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_peak_memory_counts_only_this_process(self, workdir):
+        # The CLI replaces, by exec, a process that has touched 128 MiB; a
+        # peak kept across exec would report that memory as this run's.
+        script = (
+            "import os, sys\n"
+            "ballast = b'x' * (128 << 20)\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'hucsp', *sys.argv[1:]])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *_mine_args(workdir)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["peak_memory_bytes"] < 64 << 20
+
     def test_toggles_reach_the_miner(self, workdir, capsys):
         assert main(_mine_args(workdir, "out.txt", "--no-guip", "--no-luip")) == 0
         report = json.loads(capsys.readouterr().out)

@@ -258,6 +258,12 @@ class TestValidate:
             "sequence 0, position 3: missing external utility for item 9",
         ]
 
+    def test_reports_an_empty_sequence(self):
+        # The parser refuses the line "-2" that serialize_database would write for it.
+        _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
+        db = QSequenceDatabase((QSequence(((QItem(0, 1),),)), QSequence(())), ("a", "b", "c"))
+        assert validate(db, eut) == ["sequence 1: empty sequence"]
+
     def test_reports_bad_weights(self):
         db = self._db((QItem(0, 1),))
         from hucsp.core import ExternalUtilityTable

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import A, B, C, D, E, F, q_databases
-from hucsp.bounds import extension_utilizations, swu_per_item
+from conftest import A, B, C, D, E, F, databases_where_guip_leaves_a_gap, q_databases
+from hucsp.bounds import Threshold, extension_utilizations, guip_revise, swu_per_item
 from hucsp.core import (
     AbsentItemError,
     ExternalUtilityTable,
     QItem,
     QSequence,
     QSequenceDatabase,
+    db_utility,
     ending_positions,
     instance_utility,
     pattern_utility,
@@ -181,6 +182,21 @@ class TestInitialIChains:
         with pytest.raises(ValueError, match="ascending sid order"):
             build_initial_ichains({1: sils[1], 0: sils[0]})
 
+    @given(st.data())
+    def test_mapping_contract(self, data):
+        db, eut = data.draw(q_databases())
+        deleted = data.draw(st.frozensets(st.integers(0, len(db.names) - 1)))
+        initial = build_initial_ichains(build_sil(db, eut, deleted))
+        surviving = {q.item for s in db.sequences for _, q in s.iter_slots()} - deleted
+        assert len(initial) == len(surviving)
+        assert list(initial) == sorted(surviving)
+        for item in surviving:
+            assert initial[item] == initial[item]
+        for item in set(range(len(db.names) + 1)) - surviving:
+            assert item not in initial
+            with pytest.raises(KeyError):
+                initial[item]
+
     def test_utilities(self, indexed):
         _, _, _, initial = indexed
         assert {i: ichain_pattern_utility(c) for i, c in initial.items()} == {
@@ -260,13 +276,18 @@ class TestExtensionItems:
 
 
 class TestChainsAgreeWithCalculus:
-    @given(q_databases())
-    def test_initial_chains(self, dbeut):
+    @given(
+        st.one_of(q_databases(), databases_where_guip_leaves_a_gap()),
+        st.sampled_from(["0", "0.2", "0.4", "0.6"]),
+    )
+    def test_initial_chains(self, dbeut, xi):
         db, eut = dbeut
-        sils = build_sil(db, eut)
+        # A deleted item has no chain; a surviving item's chain is unchanged.
+        deleted, _ = guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut)))
+        sils = build_sil(db, eut, deleted)
         seqs = dict(enumerate(db.sequences))
         initial = build_initial_ichains(sils)
-        items = {q.item for s in db.sequences for _, q in s.iter_slots()}
+        items = {q.item for s in db.sequences for _, q in s.iter_slots()} - deleted
         assert set(initial) == items
         for item, chain in initial.items():
             pattern = ((item,),)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from conftest import (
     F,
     RUNNING_DB_TEXT,
     RUNNING_EUT_TEXT,
+    databases_where_guip_leaves_a_gap,
     growing,
     inflating,
     q_databases,
@@ -38,32 +40,6 @@ from hucsp.miner import (
     mine,
 )
 from hucsp.oracle import enumerate_patterns, oracle_mine
-
-
-@st.composite
-def databases_where_guip_leaves_a_gap(draw):
-    """A database with an item z, alone in its itemset, that GUIP deletes at xi >= 0.2.
-
-    z (weight 1, quantity 1) fills an itemset of its own in one sequence S,
-    after S's first itemset and, when S has two or more, before its last.
-    An added last sequence repeats S without z, quantities scaled up, so
-    SWU(z), at most u(S) + 1, stays below a fifth of u(D), while the
-    repeated sequence clears every threshold drawn with it.  Deleting z must
-    leave a gap: closing it up would let S add the repeated sequence's
-    pattern too.
-    """
-    db, eut = draw(q_databases())
-    z = len(eut.weights)
-    seq = draw(st.sampled_from(db.sequences))
-    at = draw(st.integers(1, max(1, len(seq.itemsets) - 1)))
-    gapped = QSequence((*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
-    scale = 10 * (db_utility(db, eut) + 2)
-    heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seq.itemsets)
-    sequences = tuple(gapped if s is seq else s for s in db.sequences)
-    return (
-        QSequenceDatabase((*sequences, QSequence(heavy)), (*db.names, "z")),
-        ExternalUtilityTable((*eut.weights, 1)),
-    )
 
 
 @st.composite
@@ -175,6 +151,12 @@ class TestValidationAndAsserts:
         db, _ = running
         with pytest.raises(ValueError, match="invalid database"):
             mine(db, ExternalUtilityTable((0,) * 6), MiningConfig(xi="0.25"))
+
+    def test_empty_sequence_is_refused(self, running):
+        db, eut = running
+        with_empty = QSequenceDatabase((*db.sequences, QSequence(())), db.names)
+        with pytest.raises(ValueError, match=r"invalid database: sequence 5: empty sequence"):
+            mine(with_empty, eut, MiningConfig(xi="0.25"))
 
     def test_bad_threshold_text(self, running):
         db, eut = running
@@ -304,6 +286,26 @@ class TestDeterminism:
         first = mine(db, eut, MiningConfig(xi="0.05"))
         second = mine(db, eut, MiningConfig(xi="0.05"))
         assert first == second
+
+    def test_seed_chains_are_built_as_the_search_reaches_them(self, running, monkeypatch):
+        """Only the seed being expanded and the one being built are alive at once."""
+        import hucsp.miner as miner_module
+
+        db, eut = running
+        seen = []
+        most_alive = 0
+        utility_of = miner_module.ichain_pattern_utility
+
+        def recording(chain):
+            nonlocal most_alive
+            seen.append(weakref.ref(chain))
+            most_alive = max(most_alive, sum(ref() is not None for ref in seen))
+            return utility_of(chain)
+
+        monkeypatch.setattr(miner_module, "ichain_pattern_utility", recording)
+        mine(db, eut, MiningConfig(xi="0.25"))
+        assert len(seen) == 6
+        assert most_alive <= 2
 
     def test_search_visit_order(self, running, monkeypatch):
         """Depth first, item-extensions before sequence-extensions, items ascending."""
