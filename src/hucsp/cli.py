@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cap",
         type=_positive_int,
         default=DEFAULT_ENUMERATION_CAP,
-        help="refuse enumeration beyond this many occurrences",
+        help="refuse enumeration that would copy more itemsets than this",
     )
     p.set_defaults(func=cmd_check)
 

@@ -110,9 +110,13 @@ def parse_utility_table(text: str) -> tuple[tuple[str, ...], ExternalUtilityTabl
 
 @collector_paused()
 def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, ExternalUtilityTable]:
-    """Parse a database file against its external-utility file."""
+    """Parse a database file against its external-utility file.
+
+    Each distinct q-item token is read once: equal tokens share one QItem.
+    """
     names, eut = parse_utility_table(eut_text)
     ids = {name: i for i, name in enumerate(names)}
+    qitems: dict[str, QItem] = {}
     sequences: list[QSequence] = []
     for lineno, line in enumerate(db_text.splitlines(), start=1):
         tokens = line.split()
@@ -120,20 +124,25 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
             continue
         itemsets: list[QItemset] = []
         current: list[QItem] = []
+        last = -1  # item id of current[-1]; ids start at 0
         for k, token in enumerate(tokens):
-            if token == "-2":
-                if current:
-                    raise ParseError("itemset not closed before -2", lineno, line, k)
-                if not itemsets:
-                    raise ParseError("empty sequence", lineno, line, k)
-                if k + 1 < len(tokens):
-                    raise ParseError("content after end of sequence", lineno, line, k + 1)
-            elif token == "-1":
-                if not current:
-                    raise ParseError("empty itemset", lineno, line, k)
-                itemsets.append(tuple(current))
-                current = []
-            else:
+            qitem = qitems.get(token)
+            if qitem is None:
+                if token == "-2":
+                    if current:
+                        raise ParseError("itemset not closed before -2", lineno, line, k)
+                    if not itemsets:
+                        raise ParseError("empty sequence", lineno, line, k)
+                    if k + 1 < len(tokens):
+                        raise ParseError("content after end of sequence", lineno, line, k + 1)
+                    continue
+                if token == "-1":
+                    if not current:
+                        raise ParseError("empty itemset", lineno, line, k)
+                    itemsets.append(tuple(current))
+                    current = []
+                    last = -1
+                    continue
                 name, sep, quantity_text = token.partition(":")
                 if not sep or not name or not quantity_text:
                     raise ParseError(f"malformed token {token!r}", lineno, line, k)
@@ -148,12 +157,13 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
                     raise _count_error(quantity_text, "quantity", lineno, line, k) from None
                 if quantity < 1:
                     raise ParseError("quantity must be >= 1", lineno, line, k)
-                if current:
-                    if current[-1].item == item:
-                        raise ParseError(f"duplicate item {name!r} in itemset", lineno, line, k)
-                    if current[-1].item > item:
-                        raise ParseError("items out of ascending id order", lineno, line, k)
-                current.append(QItem(item, quantity))
+                qitem = qitems[token] = QItem(item, quantity)
+            if qitem.item <= last:
+                if qitem.item == last:
+                    raise ParseError(f"duplicate item {names[last]!r} in itemset", lineno, line, k)
+                raise ParseError("items out of ascending id order", lineno, line, k)
+            last = qitem.item
+            current.append(qitem)
         if tokens[-1] != "-2":
             raise ParseError("sequence not terminated by -2", lineno, line, len(tokens))
         sequences.append(QSequence(tuple(itemsets)))
@@ -222,13 +232,15 @@ def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, Exte
     # Weights are drawn before any sequence so sizing params do not shift them.
     weights = tuple(rng.randint(1, params.max_weight) for _ in names)
     top_size = min(params.max_items_per_itemset, params.distinct_items)
+    shared: dict[QItem, QItem] = {}  # one object per (item, quantity), as the parser keeps
     sequences = []
     for _ in range(params.sequence_count):
         itemsets = []
         for _ in range(rng.randint(1, params.max_itemsets_per_seq)):
             size = rng.randint(1, top_size)
             members = sorted(rng.sample(range(params.distinct_items), size))
-            itemsets.append(tuple(QItem(i, rng.randint(1, params.max_quantity)) for i in members))
+            itemset = (QItem(i, rng.randint(1, params.max_quantity)) for i in members)
+            itemsets.append(tuple(shared.setdefault(q, q) for q in itemset))
         sequences.append(QSequence(tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), ExternalUtilityTable(weights)
 

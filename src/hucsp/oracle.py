@@ -6,9 +6,9 @@ choice of a nonempty subset per window itemset.  Utilities are recomputed
 from quantities and weights on the spot, keeping this path independent of
 the index structures and bounds the real miner relies on.
 
-Exponential in itemset width by construction; a work estimate is checked
-against a cap before enumerating so oversized inputs fail fast instead of
-hanging.
+Exponential in itemset width by construction; the itemsets enumeration
+would copy are counted against a cap before enumerating, so oversized
+inputs fail fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -33,20 +33,35 @@ class UniverseTooLargeError(RuntimeError):
     """Predicted enumeration work exceeds the configured cap."""
 
 
-def instance_count(db: QSequenceDatabase) -> int:
-    """Exact number of pattern occurrences enumeration would visit.
-
-    Per window of consecutive itemsets with sizes s1..sw this is the product
-    of (2^si - 1) subset choices, summed over all windows of all sequences.
-    """
-    total = 0
+def _windows(db: QSequenceDatabase, longest: int | None = None):
+    """(occurrences, length) of each window of at most `longest` consecutive
+    itemsets; sizes s1..sw give the product of (2^si - 1) occurrences."""
     for seq in db.sequences:
         factors = [2 ** len(itemset) - 1 for itemset in seq.itemsets]
         for start in range(len(factors)):
             product = 1
-            for factor in factors[start:]:
+            for length, factor in enumerate(factors[start:][:longest], start=1):
                 product *= factor
-                total += product
+                yield product, length
+
+
+def instance_count(db: QSequenceDatabase) -> int:
+    """Exact number of pattern occurrences enumeration would visit."""
+    return sum(product for product, _ in _windows(db))
+
+
+def copied_itemsets(db: QSequenceDatabase, stop_above: int, max_len: int | None = None) -> int:
+    """Itemsets enumeration copies into pattern keys, the work the cap bounds:
+    each occurrence copies its window's itemsets.  Stops once past stop_above.
+
+    Under max_len no window past max_len + 1 itemsets is reached, since each
+    itemset adds an item; that last one is only tried, and counted as copied.
+    """
+    total = 0
+    for product, length in _windows(db, None if max_len is None else max_len + 1):
+        total += product * length
+        if total > stop_above:
+            break
     return total
 
 
@@ -73,11 +88,8 @@ def enumerate_patterns(
     Per sequence the best (maximum) occurrence utility is kept, then summed
     across sequences, mirroring the pattern-utility definition.
     """
-    estimate = instance_count(db)
-    if estimate > cap:
-        raise UniverseTooLargeError(
-            f"enumeration would visit {estimate} occurrences (cap {cap})"
-        )
+    if copied_itemsets(db, cap, max_len) > cap:
+        raise UniverseTooLargeError(f"enumeration would copy more itemsets than the cap of {cap}")
     universe: dict[Pattern, int] = {}
     for seq in db.sequences:
         per_seq: dict[Pattern, int] = {}

@@ -94,12 +94,22 @@ class TestParseDatabase:
             ("a:1 -1 -2 b:1", 1, 11),  # content after terminator
             ("a:1 -1", 1, 7),  # missing terminator
             ("a:1 -1 -2\nb:1 c:2 -1", 2, 11),  # error on second line
+            ("a:2 -1 a:2 a:2 -1 -2", 1, 12),  # duplicate of a token read before
+            ("b:1 -1 b:1 a:1 -1 -2", 1, 12),  # descending after a token read before
         ],
     )
     def test_rejects_with_position(self, line, lineno, column):
         with pytest.raises(ParseError) as err:
             parse_database(line + "\n", "a 3\nb 2\nc 3\n")
         assert (err.value.line, err.value.column) == (lineno, column)
+
+    def test_equal_tokens_share_one_qitem(self):
+        db, _ = parse_database("a:2 b:1 -1 a:2 -1 -2\nb:1 -1 a:2 b:3 -1 -2\n", "a 3\nb 2\n")
+        first, second = db.sequences
+        assert first.itemsets[0][0] is first.itemsets[1][0] is second.itemsets[1][0]
+        qitems = [q for seq in db.sequences for _, q in seq.iter_slots()]
+        assert len(qitems) == 6
+        assert len({id(q) for q in qitems}) == 3  # a:2, b:1 and b:3
 
     def test_error_message_carries_position(self):
         with pytest.raises(ParseError, match=r"line 1, column 5"):
@@ -225,6 +235,12 @@ class TestGenerator:
         assert validate(db, eut) == []
         db_text, eut_text = serialize_database(db, eut)
         assert parse_database(db_text, eut_text) == (db, eut)
+
+    def test_equal_qitems_are_one_object(self):
+        params = GeneratorParams(sequence_count=200, distinct_items=5, max_quantity=2, seed=4)
+        db, _ = generate_synthetic(params)
+        qitems = [q for seq in db.sequences for _, q in seq.iter_slots()]
+        assert len({id(q) for q in qitems}) == len(set(qitems)) <= 10
 
     @pytest.mark.parametrize("field", ["sequence_count", "distinct_items", "max_quantity"])
     def test_rejects_non_positive_params(self, field):
@@ -363,6 +379,33 @@ class TestParserFuzz:
                     part.startswith(shown) and len(part) == int(length)
                     for part in (token, name, quantity)
                 )
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(st.text(_FUZZ_ALPHABET, max_size=60), _FUZZ_LINES, _FUZZ_SEQUENCES),
+        _FUZZ_TABLES,
+    )
+    def test_a_text_parses_as_its_lines_do(self, db_text, eut_text):
+        # Q-items are shared across lines, so no line may read differently
+        # for the lines before it.
+        def located(err):
+            message = str(err).removeprefix(f"line {err.line}, column {err.column}: ")
+            return err.line, err.column, message
+
+        sequences, failure = [], None
+        for lineno, line in enumerate(db_text.splitlines(), start=1):
+            try:
+                sequences.extend(parse_database(line, eut_text)[0].sequences)
+            except ParseError as err:
+                failure = (lineno, *located(err)[1:])
+                break
+        try:
+            db, _ = parse_database(db_text, eut_text)
+        except ParseError as err:
+            assert located(err) == failure
+            return
+        assert failure is None
+        assert db.sequences == tuple(sequences)
 
     def test_mutated_inputs_never_crash(self):
         rng = random.Random(13)

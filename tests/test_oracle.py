@@ -13,6 +13,7 @@ from hucsp.core import contains, pattern_length, pattern_utility
 from hucsp.dataio import parse_database
 from hucsp.oracle import (
     UniverseTooLargeError,
+    copied_itemsets,
     enumerate_patterns,
     instance_count,
     oracle_mine,
@@ -56,13 +57,38 @@ class TestWorkGuard:
                         literal += 1
         assert instance_count(db) == literal
 
+    def test_copied_itemsets_match_literal_enumeration(self, running):
+        db, _ = running
+        literal = 0
+        for seq in db.sequences:
+            n = len(seq.itemsets)
+            for start in range(n):
+                for end in range(start, n):
+                    subset_counts = [2 ** len(seq.itemsets[k]) - 1 for k in range(start, end + 1)]
+                    for combo in itertools.product(*[range(c) for c in subset_counts]):
+                        literal += end - start + 1
+        assert copied_itemsets(db, literal) == literal
+        assert 10 < copied_itemsets(db, 10) < literal  # stops once past the cap
+
     def test_cap_refusal(self, running):
         db, eut = running
-        estimate = instance_count(db)
-        with pytest.raises(UniverseTooLargeError):
-            enumerate_patterns(db, eut, cap=estimate - 1)
+        copied = copied_itemsets(db, 10**9)
+        with pytest.raises(UniverseTooLargeError, match=f"cap of {copied - 1}"):
+            enumerate_patterns(db, eut, cap=copied - 1)
         # the boundary itself is allowed
-        assert enumerate_patterns(db, eut, cap=estimate)
+        assert enumerate_patterns(db, eut, cap=copied)
+
+    def test_cap_counts_window_length(self):
+        # 400 single-item itemsets: 80,200 occurrences, but 10,746,800
+        # itemsets copied into their pattern keys.
+        db, eut = parse_database("a:1 -1 " * 400 + "-2\n", "a 1\n")
+        assert instance_count(db) == 80_200
+        assert copied_itemsets(db, 10**9) == 10_746_800
+        with pytest.raises(UniverseTooLargeError):
+            enumerate_patterns(db, eut, cap=100_000)
+        # Under max_len 1 only windows of 1 and 2 itemsets are reached.
+        assert copied_itemsets(db, 10**9, max_len=1) == 400 * 1 + 399 * 2
+        assert enumerate_patterns(db, eut, max_len=1, cap=100_000) == {((0,),): 1}
 
 
 class TestOracleMine:
