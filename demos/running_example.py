@@ -61,7 +61,8 @@ sils = build_sil(db, eut)
 print(f"  SIL of S1: {sil_to_text(sils[0], db.names)}")
 initial = build_initial_ichains(sils)
 chain_a = initial[A]
-print("  IChain of <{a}>:", {f"S{il.sid + 1}": list(il.elements)
+# Each element is (position, SIL slot, utility); print the (position, utility) pairs.
+print("  IChain of <{a}>:", {f"S{il.sid + 1}": [(pos, u) for pos, _, u in il.elements]
                              for il in chain_a.lists})
 
 print("\n== upper bounds ==")

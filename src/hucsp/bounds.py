@@ -15,8 +15,8 @@ of prefix utility + extension item utility + remaining utility after the
 item, summed over sequences.  IEU never increases along an extension path,
 so an extension below threshold is dropped with its whole subtree.  One
 scan of a node's chain bounds all its extensions (the item-extensions at an
-instance are the slice of its SIL row after the prefix's last item), and
-one LUIP call per node and kind keeps those that reach the threshold.
+instance are the SIL entries after its slot in its row), and one LUIP call
+per node and kind keeps those that reach the threshold.
 
 Utilities are exact ints and the threshold an exact rational, so accept
 (utility >= threshold) and prune (bound < threshold) comparisons carry no
@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Mapping, NamedTuple
 
 from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight, quoted
-from .indexes import IChain, SIL
+from .indexes import IChain, SIL, sil_row
 
 # ASCII digits with an optional decimal point, or a ratio of digit runs.
 # Fraction alone would also take a sign, underscores, digits of other
@@ -129,15 +128,15 @@ def _ieu_by_sequence(
 
     A prefix instance qualifies when item occurs there; the bound is instance
     utility + item utility + remaining utility after the item.  The reference
-    for extension_utilizations: it scans each row for item and takes every
-    per-sequence maximum, with no slicing and no single-instance shortcut.
+    for extension_utilizations: it scans each whole row for item, ignoring
+    slots, and takes every per-sequence maximum, with no single-instance shortcut.
     """
     out: dict[int, int] = {}
     for il in prefix.lists:
         sil = sils[il.sid]
         best = -1
-        for epos, utility in il.elements:
-            for j, gained, remaining in sil.get(epos + step, ()):
+        for epos, _, utility in il.elements:
+            for j, gained, remaining in sil_row(sil, epos + step):
                 if j == item:
                     best = max(best, utility + gained + remaining)
         if best >= 0:
@@ -170,33 +169,32 @@ def extension_utilizations(
 
     One pass over the chain and SIL computes all sibling bounds at once;
     agrees item-for-item with ieu_i_extension / ieu_s_extension.  The key
-    sets are exactly the candidate extension items.  The item-extension
-    candidates at an instance are the slice of its row after the prefix's
-    last item.  A sequence with one instance adds its values straight into
-    the totals; only one with several keeps per-item maxima first.
+    sets are exactly the candidate extension items.  At an instance (pos,
+    slot, utility), they are the entries sil[slot + 1:sil[pos + 1]] and row
+    pos + 1.  A sequence with one instance adds its values straight into the
+    totals; only one with several keeps per-item maxima first.
     """
-    after_last = (prefix.pattern[-1][-1] + 1,)
     i_totals: dict[Item, int] = {}
     s_totals: dict[Item, int] = {}
     for sid, elements in prefix.lists:
         sil = sils[sid]
         if len(elements) == 1:
-            ((epos, utility),) = elements
-            row = sil[epos]
-            for item, gained, remaining in row[bisect_left(row, after_last) :]:
+            ((pos, slot, utility),) = elements
+            end = sil[pos + 1]
+            for item, gained, remaining in sil[slot + 1 : end]:
                 i_totals[item] = i_totals.get(item, 0) + utility + gained + remaining
-            for item, gained, remaining in sil.get(epos + 1, ()):
+            for item, gained, remaining in sil[end : sil[pos + 2]]:
                 s_totals[item] = s_totals.get(item, 0) + utility + gained + remaining
             continue
         i_best: dict[Item, int] = {}
         s_best: dict[Item, int] = {}
-        for epos, utility in elements:
-            row = sil[epos]
-            for item, gained, remaining in row[bisect_left(row, after_last) :]:
+        for pos, slot, utility in elements:
+            end = sil[pos + 1]
+            for item, gained, remaining in sil[slot + 1 : end]:
                 value = utility + gained + remaining
                 if value > i_best.get(item, -1):
                     i_best[item] = value
-            for item, gained, remaining in sil.get(epos + 1, ()):
+            for item, gained, remaining in sil[end : sil[pos + 2]]:
                 value = utility + gained + remaining
                 if value > s_best.get(item, -1):
                     s_best[item] = value

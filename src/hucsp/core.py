@@ -43,7 +43,7 @@ class QItem(NamedTuple):
 QItemset = tuple[QItem, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QSequence:
     """One q-sequence: itemset k sits at 1-based position k."""
 

@@ -3,18 +3,19 @@
 The SIL is a per-sequence mirror of the database that stores, for every
 q-item occurrence whose item GUIP did not delete, its utility and the
 remaining utility (total utility of every surviving q-item after it in
-reading order).  A sequence's SIL is one position map, and build_sil
-returns {sid: position map}.  Each position holds one row: a tuple of
-(item, utility, remaining) triples in strictly ascending item order, so the
-items after a given one are a slice found by bisection.  Remaining
-utilities telescope: each entry's remainder equals the next entry's
-remainder plus the next entry's utility, and the last entry's remainder is
-0.  A position whose items were all deleted is left out, which makes it a
-gap.
+reading order).  A sequence of n itemsets has one SIL, a single tuple, and
+build_sil returns {sid: SIL}.  Slots 0 to n + 2 hold row start offsets
+(sil[0] = sil[1] = n + 3); the (item, utility, remaining) entries follow
+in reading order.  Row p is sil[sil[p]:sil[p + 1]] (sil_row), its items
+strictly ascending.  A position whose items were all deleted has an empty
+row, which makes it a gap, and row n + 1 is empty.  Remaining utilities
+telescope: each entry's remainder equals the next entry's remainder plus
+the next entry's utility, and the last entry's remainder is 0.
 
 An IChain indexes every instance of one pattern: per containing sequence, the
-(ending position, instance utility) pairs in ascending position order, as
-plain tuples.  A single-item chain is built from its item's run of
+(ending position, slot, instance utility) triples in ascending position
+order, as plain tuples; slot is the offset of the entry of the instance's
+last q-item.  A single-item chain is built from its item's run of
 occurrences only when it is looked up.  Chains for extended patterns are
 built from the parent chain plus the SIL without touching the database
 again: one pass over a parent chain builds the chains of all requested
@@ -37,14 +38,12 @@ from .core import (
     missing_weight,
 )
 
-# One position's surviving q-items as (item, utility, remaining), items ascending.
-SILRow = tuple[tuple[Item, int, int], ...]
+# One surviving q-item occurrence: (item, utility, remaining).
+SILEntry = tuple[Item, int, int]
 
 
-# One sequence's SIL: position -> row.  build_sil walks the sequence
-# backwards, so positions are keys in descending order.  A position missing
-# between two keys is a gap: an itemset whose items were all deleted.
-SIL = dict[int, SILRow]
+# One sequence's SIL: n + 3 row start offsets, then the entries (see above).
+SIL = tuple[int | SILEntry, ...]
 
 
 def build_sil(
@@ -62,43 +61,49 @@ def build_sil(
     try:
         for sid, seq in enumerate(db.sequences):
             left = 0
-            sil: SIL = {}
-            pos = len(seq.itemsets)
+            entries: list[SILEntry] = []
+            # after[k]: how many entries sit at position n + 1 - k or later.
+            after = [0]
             for itemset in reversed(seq.itemsets):
-                row = []
                 for item, quantity in reversed(itemset):
                     if item not in deleted:
                         utility = quantity * weight_of[item]
-                        row.append((item, utility, left))
+                        entries.append((item, utility, left))
                         left += utility
-                if row:
-                    row.reverse()
-                    sil[pos] = tuple(row)
-                pos -= 1
-            if sil:
-                sils[sid] = sil
+                after.append(len(entries))
+            if entries:
+                entries.reverse()
+                end = len(seq.itemsets) + 3 + len(entries)
+                starts = [end - count for count in reversed(after)]
+                sils[sid] = (starts[0], *starts, end, *entries)
     except KeyError as e:
         raise missing_weight(e.args[0]) from None
     return sils
+
+
+def sil_row(sil: SIL, pos: int) -> tuple[SILEntry, ...]:
+    """The entries at position pos, items ascending; empty at a gap and at n + 1."""
+    return sil[sil[pos] : sil[pos + 1]]
 
 
 def sil_to_text(sil: SIL, names: tuple[str, ...]) -> str:
     """Render entries as (name,utility,remaining); '/' between itemsets, '//' across a gap."""
     parts = []
     previous = None
-    for pos, row in reversed(sil.items()):
-        if previous is not None:
-            parts.append("/" if pos == previous + 1 else "//")
-        parts.extend(f"({names[item]},{utility},{remaining})" for item, utility, remaining in row)
-        previous = pos
+    for pos in range(1, sil[0] - 2):
+        if row := sil_row(sil, pos):
+            if previous is not None:
+                parts.append("/" if pos == previous + 1 else "//")
+            parts.extend(f"({names[item]},{utility},{left})" for item, utility, left in row)
+            previous = pos
     return "".join(parts)
 
 
 class InstanceList(NamedTuple):
-    """One sequence's instances: (ending position, utility) pairs, positions ascending."""
+    """One sequence's instances: (ending position, slot, utility), positions ascending."""
 
     sid: int
-    elements: tuple[tuple[int, int], ...]
+    elements: tuple[tuple[int, int, int], ...]
 
 
 # A NamedTuple's generated __new__ is a Python function call per object;
@@ -117,26 +122,31 @@ class IChain:
 class _SeedChains(Mapping[Item, IChain]):
     """Single-item chains, each built from its item's run when looked up.
 
-    A run holds every occurrence of one item as flat sid, position, utility
-    values in sid and position order.  Nothing built is kept, so a caller
-    that walks values() holds one chain at a time.
+    A run holds every occurrence of one item as flat sid, position, slot
+    values in sid and position order; the utility is read from the SIL
+    entry at the slot.  Nothing built is kept, so a caller that walks
+    values() holds one chain at a time.
     """
 
-    def __init__(self, runs: dict[Item, list[int]]) -> None:
+    __slots__ = ("_runs", "_sils")
+
+    def __init__(self, runs: dict[Item, list[int]], sils: Mapping[int, SIL]) -> None:
         self._runs = runs
+        self._sils = sils
 
     def __getitem__(self, item: Item) -> IChain:
         lists: list[InstanceList] = []
-        elements: list[tuple[int, int]] = []
-        last = None
+        elements: list[tuple[int, int, int]] = []
+        last, sils = None, self._sils
         values = iter(self._runs[item])
-        for sid, pos, utility in zip(values, values, values):
+        for sid, pos, slot in zip(values, values, values):
             if sid != last:
                 if elements:
                     lists.append(_new_list((last, tuple(elements))))
                     elements = []
                 last = sid
-            elements.append((pos, utility))
+                sil = sils[sid]
+            elements.append((pos, slot, sil[slot][1]))
         lists.append(_new_list((last, tuple(elements))))
         return IChain(((item,),), tuple(lists))
 
@@ -160,10 +170,12 @@ def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
         if last_sid is not None and sid <= last_sid:
             raise ValueError("SILs must be in ascending sid order")
         last_sid = sid
-        for pos, row in reversed(sil.items()):
-            for item, utility, _ in row:
-                runs[item].extend((sid, pos, utility))
-    return _SeedChains({item: runs[item] for item in sorted(runs)})
+        pos = 0
+        for slot in range(sil[0], len(sil)):
+            while slot >= sil[pos + 1]:  # step past rows that end by slot, gaps too
+                pos += 1
+            runs[sil[slot][0]].extend((sid, pos, slot))
+    return _SeedChains({item: runs[item] for item in sorted(runs)}, sils)
 
 
 def _extend_ichains(
@@ -172,33 +184,33 @@ def _extend_ichains(
     """Instance lists and pattern utility of each item placed step positions on.
 
     One pass over the prefix chain serves every item.  An instance extends
-    when item occurs at ending position + step; the new instance ends there
-    and its utility grows by that occurrence.  A child's utility is the sum
-    of its per-sequence maxima, kept as the lists are built.
+    when item occurs at ending position + step, after the instance's slot
+    when step is 0; the new instance ends at that entry and its utility
+    grows by that occurrence.  A child's utility is the sum of its
+    per-sequence maxima, kept as the lists are built.
     """
     wanted = set(items)
     lists: dict[Item, list[InstanceList]] = {item: [] for item in wanted}
     totals = dict.fromkeys(wanted, 0)
     for sid, elements in prefix.lists:
         sil = sils[sid]
-        grown: dict[Item, list[tuple[int, int]]] = {}
+        grown: dict[Item, list[tuple[int, int, int]]] = {}
         best: dict[Item, int] = {}
-        for epos, utility in elements:
+        for epos, slot, utility in elements:
             pos = epos + step
-            row = sil.get(pos)
-            if row is None:
-                continue
-            for item, gained, _ in row:
+            at = sil[pos] if step else slot + 1
+            for item, gained, _ in sil[at : sil[pos + 1]]:
                 if item in wanted:
                     value = utility + gained
                     found = grown.get(item)
                     if found is None:
-                        grown[item] = [(pos, value)]
+                        grown[item] = [(pos, at, value)]
                         best[item] = value
                     else:
-                        found.append((pos, value))
+                        found.append((pos, at, value))
                         if value > best[item]:
                             best[item] = value
+                at += 1
         for item, found in grown.items():
             lists[item].append(_new_list((sid, tuple(found))))
             totals[item] += best[item]
@@ -228,7 +240,7 @@ def extend_ichain_s(
     """Chain and utility of each pattern with {item} appended as a new itemset.
 
     An instance extends only when the position after its ending position
-    is in the SIL, not a gap.  Results follow the order of items.
+    holds entries, not a gap.  Results follow the order of items.
     """
     return [
         (IChain(prefix.pattern + ((item,),), lists), utility)
@@ -243,10 +255,10 @@ def ichain_pattern_utility(chain: IChain) -> int:
     carry their utility out of the pass that builds them.  Most sequences
     hold one instance, whose utility is read without taking a maximum.
     """
-    utility = itemgetter(1)
+    utility = itemgetter(2)
     return sum(
         [
-            elements[0][1] if len(elements) == 1 else max(map(utility, elements))
+            elements[0][2] if len(elements) == 1 else max(map(utility, elements))
             for _, elements in chain.lists
         ]
     )

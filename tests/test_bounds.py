@@ -31,7 +31,13 @@ from hucsp.core import (
     db_utility,
 )
 from hucsp.dataio import parse_database
-from hucsp.indexes import build_initial_ichains, build_sil, extend_ichain_i, extend_ichain_s
+from hucsp.indexes import (
+    build_initial_ichains,
+    build_sil,
+    extend_ichain_i,
+    extend_ichain_s,
+    sil_row,
+)
 
 
 class TestThreshold:
@@ -158,7 +164,9 @@ class TestGUIP:
         assert result.rounds == 1
         revised, full = build_sil(db, eut, result.deleted_items), build_sil(db, eut)
         # position 2 held only z: it becomes a gap between positions 1 and 3
-        assert list(revised[0]) == [3, 1]
+        assert [sil_row(revised[0], pos) for pos in range(1, 5)] == [
+            ((0, 50, 50),), (), ((1, 50, 0),), ()
+        ]
         # the other sequences are untouched
         assert list(revised) == [0, 1, 2]
         assert (revised[1], revised[2]) == (full[1], full[2])
@@ -185,9 +193,9 @@ class TestGUIP:
         assert result.rounds <= len(db.names)
         surviving = {
             item
-            for sil in build_sil(db, eut, result.deleted_items).values()
-            for row in sil.values()
-            for item, _, _ in row
+            for sid, sil in build_sil(db, eut, result.deleted_items).items()
+            for pos in range(1, len(db.sequences[sid].itemsets) + 1)
+            for item, _, _ in sil_row(sil, pos)
         }
         assert not surviving & result.deleted_items
 
@@ -226,10 +234,11 @@ class TestIEU:
     def test_batch_agrees_with_per_item(self, dbeut):
         db, eut = dbeut
         sils = build_sil(db, eut)
-        for sil in sils.values():
-            for row in sil.values():
-                # extension_utilizations finds the items after the prefix's
-                # last one by bisection, which needs strictly ascending rows
+        for sid, sil in sils.items():
+            for pos in range(1, len(db.sequences[sid].itemsets) + 1):
+                row = sil_row(sil, pos)
+                # The entries after an instance's slot are the items above the
+                # prefix's last one only because rows strictly ascend.
                 assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
         chains = list(build_initial_ichains(sils).values())
         for seed in list(chains):

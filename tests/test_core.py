@@ -199,6 +199,18 @@ class TestContains:
         assert not contains(((A,),), db.sequences[3])
 
 
+class TestQSequenceShape:
+    def test_slotted_frozen_and_hashable(self, running):
+        db, _ = running
+        seq = db.sequences[0]
+        assert not hasattr(seq, "__dict__")
+        with pytest.raises(AttributeError):
+            seq.itemsets = ()
+        twin = QSequence(tuple(tuple(itemset) for itemset in seq.itemsets))
+        assert twin == seq and hash(twin) == hash(seq)
+        assert len({seq, twin, db.sequences[1]}) == 2
+
+
 class TestCanonicalOrder:
     def test_length_then_flattened_ids(self):
         results = [

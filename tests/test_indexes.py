@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from hucsp.core import (
     pattern_utility,
     q_sequence_utility,
 )
+from hucsp.dataio import GeneratorParams, generate_synthetic
 from hucsp.indexes import (
     IChain,
     build_initial_ichains,
@@ -29,17 +31,55 @@ from hucsp.indexes import (
     extend_ichain_i,
     extend_ichain_s,
     ichain_pattern_utility,
+    sil_row,
     sil_to_text,
 )
 
 
-def _elements(chain):
-    return {il.sid: list(il.elements) for il in chain.lists}
+def _elements(chain, sils):
+    """sid -> (ending position, utility) pairs, once every slot is checked.
+
+    An element's slot must hold the entry of the pattern's last item in
+    the row of its ending position.
+    """
+    last = chain.pattern[-1][-1]
+    out = {}
+    for sid, elements in chain.lists:
+        sil = sils[sid]
+        for pos, slot, utility in elements:
+            assert sil[slot] == next(e for e in sil_row(sil, pos) if e[0] == last)
+        out[sid] = [(pos, utility) for pos, _, utility in elements]
+    return out
 
 
-def _entries(sil):
+def _entries(sil, seq):
     """(utility, remaining) of every entry in reading order."""
-    return [(u, r) for _, row in sorted(sil.items()) for _, u, r in row]
+    rows = (sil_row(sil, pos) for pos in range(1, len(seq.itemsets) + 1))
+    return [(u, r) for row in rows for _, u, r in row]
+
+
+def _reference_sil(seq, eut, deleted):
+    """{position: row} of one sequence, each remainder summed afresh."""
+    kept = [
+        (pos, q.item, q.quantity * eut.weights[q.item])
+        for pos, q in seq.iter_slots()
+        if q.item not in deleted
+    ]
+    rows: dict[int, tuple] = {}
+    for k, (pos, item, utility) in enumerate(kept):
+        remaining = sum(u for _, _, u in kept[k + 1 :])
+        rows[pos] = rows.get(pos, ()) + ((item, utility, remaining),)
+    return rows
+
+
+@st.composite
+def _gapped_databases(draw):
+    """(database, utility table, deleted items): GUIP's deletions plus a drawn few."""
+    db, eut = draw(databases_where_guip_leaves_a_gap())
+    xi = draw(st.sampled_from(["0.2", "0.4", "0.6"]))
+    deleted, _ = guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut)))
+    extra = draw(st.frozensets(st.integers(0, len(db.names) - 1), max_size=2))
+    return db, eut, deleted | extra
 
 
 class TestSIL:
@@ -82,7 +122,7 @@ class TestSIL:
     def test_remaining_utilities_telescope(self, dbeut):
         db, eut = dbeut
         for sil, seq in zip(build_sil(db, eut).values(), db.sequences):
-            entries = _entries(sil)
+            entries = _entries(sil, seq)
             assert sum(entries[0]) == q_sequence_utility(seq, eut)
             for (_, remaining), (utility, rest) in zip(entries, entries[1:]):
                 assert remaining == utility + rest
@@ -90,16 +130,18 @@ class TestSIL:
 
     def test_first_sequence_maps_its_run_of_three_itemsets(self, indexed):
         _, _, sils, _ = indexed
-        assert set(sils[0]) == {1, 2, 3}
-        assert sils[0][1] == ((B, 4, 19), (F, 4, 15))
+        # rows 1 to 3 hold two entries each; nothing before or after them
+        assert [len(sil_row(sils[0], pos)) for pos in range(5)] == [0, 2, 2, 2, 0]
+        assert sil_row(sils[0], 1) == ((B, 4, 19), (F, 4, 15))
 
     @given(q_databases())
     def test_by_position_holds_every_q_item(self, dbeut):
         db, eut = dbeut
         for sil, seq in zip(build_sil(db, eut).values(), db.sequences):
-            assert sorted(sil) == list(range(1, len(seq.itemsets) + 1))
-            for pos, row in sil.items():
-                assert [(item, utility) for item, utility, _ in row] == [
+            n = len(seq.itemsets)
+            assert sil_row(sil, n + 1) == ()
+            for pos in range(1, n + 1):
+                assert [(item, utility) for item, utility, _ in sil_row(sil, pos)] == [
                     (q.item, q.quantity * eut.weights[q.item]) for q in seq.itemsets[pos - 1]
                 ]
 
@@ -135,14 +177,15 @@ class TestSIL:
                 assert sid not in sils
                 continue
             sil = sils[sid]
-            assert sorted(sil) == sorted(kept)
+            positions = range(1, len(seq.itemsets) + 2)
+            assert [pos for pos in positions if sil_row(sil, pos)] == sorted(kept)
             for pos, row in kept.items():
-                assert [(item, utility) for item, utility, _ in sil[pos]] == row
+                assert [(item, utility) for item, utility, _ in sil_row(sil, pos)] == row
             gone = sum(
                 q.quantity * eut.weights[q.item] for _, q in seq.iter_slots() if q.item in deleted
             )
             survivors = q_sequence_utility(seq, eut) - gone
-            entries = _entries(sil)
+            entries = _entries(sil, seq)
             assert sum(entries[0]) == survivors
             for (_, remaining), (utility, rest) in zip(entries, entries[1:]):
                 assert remaining == utility + rest
@@ -157,11 +200,37 @@ class TestSIL:
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             build_sil(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 
+    @given(_gapped_databases())
+    def test_rows_match_a_position_map(self, case):
+        db, eut, deleted = case
+        sils = build_sil(db, eut, deleted)
+        reference = [_reference_sil(seq, eut, deleted) for seq in db.sequences]
+        assert list(sils) == [sid for sid, rows in enumerate(reference) if rows]
+        for sid, sil in sils.items():
+            positions = range(len(db.sequences[sid].itemsets) + 2)
+            assert [sil_row(sil, pos) for pos in positions] == [
+                reference[sid].get(pos, ()) for pos in positions
+            ]
+
+    def test_memory_per_surviving_q_item(self):
+        # Python 3.11.7: the {position: row} dict SIL took about 117 bytes per
+        # q-item here, the one-tuple SIL about 86.
+        db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=7))
+        q_items = sum(len(itemset) for seq in db.sequences for itemset in seq.itemsets)
+        tracemalloc.start()
+        try:
+            sils = build_sil(db, eut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sils) == 2000
+        assert peak / q_items < 96
+
 
 class TestInitialIChains:
     def test_chain_of_a(self, indexed):
-        _, _, _, initial = indexed
-        assert _elements(initial[A]) == {
+        _, _, sils, initial = indexed
+        assert _elements(initial[A], sils) == {
             0: [(2, 6)],
             1: [(1, 3), (3, 3)],
             2: [(3, 9)],
@@ -169,8 +238,8 @@ class TestInitialIChains:
         }
 
     def test_chain_of_d(self, indexed):
-        _, _, _, initial = indexed
-        assert _elements(initial[D]) == {1: [(2, 2)], 2: [(3, 2)], 3: [(1, 2)]}
+        _, _, sils, initial = indexed
+        assert _elements(initial[D], sils) == {1: [(2, 2)], 2: [(3, 2)], 3: [(1, 2)]}
 
     def test_every_present_item_has_a_chain(self, indexed):
         _, _, _, initial = indexed
@@ -209,20 +278,20 @@ class TestExtension:
         _, _, sils, initial = indexed
         [(ext, utility)] = extend_ichain_i(initial[A], [E], sils)
         assert ext.pattern == ((A, E),)
-        assert _elements(ext) == {0: [(2, 8)], 1: [(3, 5)]}
+        assert _elements(ext, sils) == {0: [(2, 8)], 1: [(3, 5)]}
         assert utility == 13
 
     def test_item_extension_bf(self, indexed):
         _, _, sils, initial = indexed
         [(ext, utility)] = extend_ichain_i(initial[B], [F], sils)
-        assert _elements(ext) == {0: [(1, 8)], 2: [(1, 6)], 3: [(2, 13)]}
+        assert _elements(ext, sils) == {0: [(1, 8)], 2: [(1, 6)], 3: [(2, 13)]}
         assert utility == 27
 
     def test_sequence_extension_ac(self, indexed):
         _, _, sils, initial = indexed
         [(ext, utility)] = extend_ichain_s(initial[A], [C], sils)
         assert ext.pattern == ((A,), (C,))
-        assert _elements(ext) == {0: [(3, 12)], 1: [(2, 9)], 4: [(2, 15), (3, 6)]}
+        assert _elements(ext, sils) == {0: [(3, 12)], 1: [(2, 9)], 4: [(2, 15), (3, 6)]}
         assert utility == 36
 
     def test_siblings_come_back_in_item_order(self, indexed):
@@ -230,7 +299,7 @@ class TestExtension:
         grown = extend_ichain_s(initial[A], [A, B, C], sils)
         assert [ext.pattern for ext, _ in grown] == [((A,), (A,)), ((A,), (B,)), ((A,), (C,))]
         assert [utility for _, utility in grown] == [9, 0, 36]
-        assert _elements(grown[0][0]) == {4: [(2, 9)]}
+        assert _elements(grown[0][0], sils) == {4: [(2, 9)]}
         assert grown[1][0].lists == ()
 
     def test_extension_can_be_empty(self, indexed):
@@ -251,7 +320,7 @@ class TestExtension:
         _, _, sils, initial = indexed
         # b's only occurrence in S5 is the last itemset; nothing follows it
         [(ext, _)] = extend_ichain_s(initial[B], [B], sils)
-        assert 4 not in _elements(ext)
+        assert 4 not in _elements(ext, sils)
 
 
 def _extension_items(chain, sils):
@@ -297,10 +366,29 @@ class TestChainsAgreeWithCalculus:
             assert {il.sid for il in chain.lists} == contained
             for il in chain.lists:
                 seq = seqs[il.sid]
-                assert tuple(epos for epos, _ in il.elements) == ending_positions(pattern, seq)
-                for epos, value in il.elements:
+                assert tuple(epos for epos, _, _ in il.elements) == ending_positions(pattern, seq)
+                for epos, _, value in il.elements:
                     assert value == instance_utility(pattern, epos, seq, eut)
             assert ichain_pattern_utility(chain) == pattern_utility(pattern, db, eut)
+
+    @given(_gapped_databases())
+    def test_every_slot_names_the_last_item_in_its_row(self, case):
+        db, eut, deleted = case
+        sils = build_sil(db, eut, deleted)
+        chains = list(build_initial_ichains(sils).values())
+        # Depth 3: i-extensions start after a slot that an extension set.
+        for depth_start in (0, len(chains)):
+            for chain in chains[depth_start:]:
+                i_items, s_items = _extension_items(chain, sils)
+                chains += [c for c, _ in extend_ichain_i(chain, i_items, sils)]
+                chains += [c for c, _ in extend_ichain_s(chain, s_items, sils)]
+        for chain in chains:
+            last = chain.pattern[-1][-1]
+            for sid, elements in chain.lists:
+                sil = sils[sid]
+                for pos, slot, _ in elements:
+                    assert sil[pos] <= slot < sil[pos + 1]
+                    assert sil[slot][0] == last
 
     @given(q_databases())
     def test_extensions(self, dbeut):
@@ -318,10 +406,10 @@ class TestChainsAgreeWithCalculus:
             ]
             for il in ext.lists:
                 seq = seqs[il.sid]
-                assert tuple(epos for epos, _ in il.elements) == ending_positions(
+                assert tuple(epos for epos, _, _ in il.elements) == ending_positions(
                     ext.pattern, seq
                 )
-                for epos, value in il.elements:
+                for epos, _, value in il.elements:
                     assert value == instance_utility(ext.pattern, epos, seq, eut)
             assert utility == pattern_utility(ext.pattern, db, eut)
 
