@@ -145,7 +145,9 @@ def _ieu_by_sequence(
 
 
 def ieu_i_by_sequence(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> dict[int, int]:
-    """Per-sequence IEU of appending item to the last itemset of the prefix."""
+    """Per-sequence IEU of appending item, above the prefix's last, to its last itemset."""
+    if item <= prefix.pattern[-1][-1]:
+        raise ValueError("item-extension must append a larger item id")
     return _ieu_by_sequence(prefix, item, sils, 0)
 
 
@@ -170,9 +172,11 @@ def extension_utilizations(
     One pass over the chain and SIL computes all sibling bounds at once;
     agrees item-for-item with ieu_i_extension / ieu_s_extension.  The key
     sets are exactly the candidate extension items.  At an instance (pos,
-    slot, utility), they are the entries sil[slot + 1:sil[pos + 1]] and row
-    pos + 1.  A sequence with one instance adds its values straight into the
-    totals; only one with several keeps per-item maxima first.
+    slot, utility), they are row pos + 1 and the entries after the slot in
+    row pos, walked backwards from utility plus the rest after row pos + 1:
+    the running sum reaches each candidate's bound at its entry.  A
+    sequence with one instance adds its values straight into the totals;
+    only one with several keeps per-item maxima first.
     """
     i_totals: dict[Item, int] = {}
     s_totals: dict[Item, int] = {}
@@ -181,23 +185,27 @@ def extension_utilizations(
         if len(elements) == 1:
             ((pos, slot, utility),) = elements
             end = sil[pos + 1]
-            for item, gained, remaining in sil[slot + 1 : end]:
-                i_totals[item] = i_totals.get(item, 0) + utility + gained + remaining
-            for item, gained, remaining in sil[end : sil[pos + 2]]:
-                s_totals[item] = s_totals.get(item, 0) + utility + gained + remaining
+            rest = utility + sil[-pos - 2]
+            for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
+                rest += gained
+                s_totals[item] = s_totals.get(item, 0) + rest
+            for item, gained in sil[end - 1 : slot : -1]:
+                rest += gained
+                i_totals[item] = i_totals.get(item, 0) + rest
             continue
         i_best: dict[Item, int] = {}
         s_best: dict[Item, int] = {}
         for pos, slot, utility in elements:
             end = sil[pos + 1]
-            for item, gained, remaining in sil[slot + 1 : end]:
-                value = utility + gained + remaining
-                if value > i_best.get(item, -1):
-                    i_best[item] = value
-            for item, gained, remaining in sil[end : sil[pos + 2]]:
-                value = utility + gained + remaining
-                if value > s_best.get(item, -1):
-                    s_best[item] = value
+            rest = utility + sil[-pos - 2]
+            for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
+                rest += gained
+                if rest > s_best.get(item, -1):
+                    s_best[item] = rest
+            for item, gained in sil[end - 1 : slot : -1]:
+                rest += gained
+                if rest > i_best.get(item, -1):
+                    i_best[item] = rest
         for item, value in i_best.items():
             i_totals[item] = i_totals.get(item, 0) + value
         for item, value in s_best.items():

@@ -1,16 +1,16 @@
 """Sequence information lists and instance chains.
 
-The SIL is a per-sequence mirror of the database that stores, for every
-q-item occurrence whose item GUIP did not delete, its utility and the
-remaining utility (total utility of every surviving q-item after it in
-reading order).  A sequence of n itemsets has one SIL, a single tuple, and
+The SIL is a per-sequence mirror of the database: the utility of every
+q-item occurrence whose item GUIP did not delete, and the utility left from
+each position on.  A sequence of n itemsets has one SIL, a single tuple, and
 build_sil returns {sid: SIL}.  Slots 0 to n + 2 hold row start offsets
-(sil[0] = sil[1] = n + 3); the (item, utility, remaining) entries follow
-in reading order.  Row p is sil[sil[p]:sil[p + 1]] (sil_row), its items
-strictly ascending.  A position whose items were all deleted has an empty
-row, which makes it a gap, and row n + 1 is empty.  Remaining utilities
-telescope: each entry's remainder equals the next entry's remainder plus
-the next entry's utility, and the last entry's remainder is 0.
+(sil[0] = sil[1] = n + 3); the (item, utility) entries follow in reading
+order, one shared tuple per distinct pair, and end at sil[sil[0] - 1].  Row
+p is sil[sil[p]:sil[p + 1]], its items strictly ascending; an empty row is a
+gap, where GUIP deleted every item, and row n + 1 is empty.  The rests close
+the tuple in reverse order: sil[-p] is the utility at position p or later, 0
+for p = n + 1 and n + 2.  sil_row adds each entry's remaining utility: what
+follows it in its row plus the next position's rest.
 
 An IChain indexes every instance of one pattern: per containing sequence, the
 (ending position, slot, instance utility) triples in ascending position
@@ -34,15 +34,16 @@ from .core import (
     ExternalUtilityTable,
     Item,
     Pattern,
+    QItem,
     QSequenceDatabase,
     missing_weight,
 )
 
-# One surviving q-item occurrence: (item, utility, remaining).
-SILEntry = tuple[Item, int, int]
+# One surviving q-item occurrence, shared by its equals: (item, utility).
+SILEntry = tuple[Item, int]
 
 
-# One sequence's SIL: n + 3 row start offsets, then the entries (see above).
+# One sequence's SIL: n + 3 row start offsets, the entries, n + 2 rests (see above).
 SIL = tuple[int | SILEntry, ...]
 
 
@@ -52,11 +53,13 @@ def build_sil(
     """sid -> SIL of every sequence with a surviving q-item, in database order.
 
     Each sequence is walked once, backwards, skipping deleted items, so
-    every entry's remainder is the running total of the surviving utilities
+    each position's rest is the running total of the surviving utilities
     already seen.  Itemsets must list their items strictly ascending, as
     validate requires; the rows keep that order.
     """
     weight_of = dict(enumerate(eut.weights))
+    # Keyed by value: equal q-items share an entry even if the database does not.
+    entry_of: dict[QItem, SILEntry] = {}
     sils: dict[int, SIL] = {}
     try:
         for sid, seq in enumerate(db.sequences):
@@ -64,26 +67,35 @@ def build_sil(
             entries: list[SILEntry] = []
             # after[k]: how many entries sit at position n + 1 - k or later.
             after = [0]
+            rests = [0, 0]
             for itemset in reversed(seq.itemsets):
-                for item, quantity in reversed(itemset):
-                    if item not in deleted:
-                        utility = quantity * weight_of[item]
-                        entries.append((item, utility, left))
-                        left += utility
+                for qitem in reversed(itemset):
+                    if qitem[0] not in deleted:
+                        entry = entry_of.get(qitem)
+                        if entry is None:
+                            entry = entry_of[qitem] = (qitem[0], qitem[1] * weight_of[qitem[0]])
+                        entries.append(entry)
+                        left += entry[1]
                 after.append(len(entries))
+                rests.append(left)
             if entries:
                 entries.reverse()
                 end = len(seq.itemsets) + 3 + len(entries)
                 starts = [end - count for count in reversed(after)]
-                sils[sid] = (starts[0], *starts, end, *entries)
+                sils[sid] = (starts[0], *starts, end, *entries, *rests)
     except KeyError as e:
         raise missing_weight(e.args[0]) from None
     return sils
 
 
-def sil_row(sil: SIL, pos: int) -> tuple[SILEntry, ...]:
-    """The entries at position pos, items ascending; empty at a gap and at n + 1."""
-    return sil[sil[pos] : sil[pos + 1]]
+def sil_row(sil: SIL, pos: int) -> tuple[tuple[Item, int, int], ...]:
+    """(item, utility, remaining) at position pos, items ascending; empty at a gap and at n + 1."""
+    left = sil[-pos - 1]
+    row = []
+    for item, utility in reversed(sil[sil[pos] : sil[pos + 1]]):
+        row.append((item, utility, left))
+        left += utility
+    return tuple(reversed(row))
 
 
 def sil_to_text(sil: SIL, names: tuple[str, ...]) -> str:
@@ -171,7 +183,7 @@ def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
             raise ValueError("SILs must be in ascending sid order")
         last_sid = sid
         pos = 0
-        for slot in range(sil[0], len(sil)):
+        for slot in range(sil[0], sil[sil[0] - 1]):
             while slot >= sil[pos + 1]:  # step past rows that end by slot, gaps too
                 pos += 1
             runs[sil[slot][0]].extend((sid, pos, slot))
@@ -199,7 +211,7 @@ def _extend_ichains(
         for epos, slot, utility in elements:
             pos = epos + step
             at = sil[pos] if step else slot + 1
-            for item, gained, _ in sil[at : sil[pos + 1]]:
+            for item, gained in sil[at : sil[pos + 1]]:
                 if item in wanted:
                     value = utility + gained
                     found = grown.get(item)

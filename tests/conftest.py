@@ -130,9 +130,9 @@ def corpus30():
     return draw_corpus(30, meta_seed=997)
 
 
-def _hyp_itemset(draw, n_items: int, max_size: int):
+def _hyp_itemset(draw, n_items: int, max_size: int, min_size: int = 1):
     members = draw(
-        st.sets(st.integers(0, n_items - 1), min_size=1, max_size=min(max_size, n_items))
+        st.sets(st.integers(0, n_items - 1), min_size=min_size, max_size=min(max_size, n_items))
     )
     return tuple(QItem(i, draw(st.integers(1, 5))) for i in sorted(members))
 
@@ -151,8 +151,33 @@ def q_databases(draw):
 
 
 @st.composite
-def databases_where_guip_leaves_a_gap(draw):
-    """A database with an item z, alone in its itemset, that GUIP deletes at xi >= 0.2.
+def wide_databases(draw):
+    """Databases of wide itemsets: <= 2 sequences of <= 3 itemsets of 5 to 8 items.
+
+    A sequence's widths sum to at most 15, so that a window holds at most
+    31**3 occurrences (the product of 2**width - 1 over its itemsets) and
+    brute force stays quick.
+    """
+    n_items = draw(st.integers(5, 9))
+    eut = ExternalUtilityTable(tuple(draw(st.integers(1, 5)) for _ in range(n_items)))
+    names = tuple(f"i{k}" for k in range(n_items))
+    sequences = []
+    for _ in range(draw(st.integers(1, 2))):
+        itemsets = []
+        budget = 15
+        for _ in range(draw(st.integers(1, 3))):
+            if budget < 5:
+                break
+            width = draw(st.integers(5, min(8, n_items, budget)))
+            budget -= width
+            itemsets.append(_hyp_itemset(draw, n_items, width, min_size=width))
+        sequences.append(QSequence(tuple(itemsets)))
+    return QSequenceDatabase(tuple(sequences), names), eut
+
+
+@st.composite
+def databases_where_guip_leaves_a_gap(draw, databases=q_databases()):
+    """A drawn database with an item z, alone in its itemset, that GUIP deletes at xi >= 0.2.
 
     z (weight 1, quantity 1) fills an itemset of its own in one sequence S,
     after S's first itemset and, when S has two or more, before its last.
@@ -162,7 +187,7 @@ def databases_where_guip_leaves_a_gap(draw):
     leave a gap: closing it up would let S add the repeated sequence's
     pattern too.
     """
-    db, eut = draw(q_databases())
+    db, eut = draw(databases)
     z = len(eut.weights)
     seq = draw(st.sampled_from(db.sequences))
     at = draw(st.integers(1, max(1, len(seq.itemsets) - 1)))

@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import A, B, C, D, E, F, q_databases
+from conftest import (
+    A,
+    B,
+    C,
+    D,
+    E,
+    F,
+    databases_where_guip_leaves_a_gap,
+    q_databases,
+    wide_databases,
+)
 from hucsp.bounds import (
     Threshold,
     extension_utilizations,
@@ -230,35 +240,57 @@ class TestIEU:
             for j, (ext, _) in zip(s_items, extend_ichain_s(chain, s_items, sils)):
                 assert pattern_utility(ext.pattern, db, eut) <= ieu_s_extension(chain, j, sils)
 
+    def test_item_extension_refuses_an_item_not_above_the_last(self, indexed):
+        _, _, sils, initial = indexed
+        [(bf, _)] = extend_ichain_i(initial[B], [F], sils)
+        for prefix, item in ((initial[C], A), (initial[C], C), (bf, E)):
+            with pytest.raises(ValueError, match="larger item id"):
+                ieu_i_by_sequence(prefix, item, sils)
+            with pytest.raises(ValueError, match="larger item id"):
+                ieu_i_extension(prefix, item, sils)
+        i_map, _ = extension_utilizations(initial[C], sils)
+        assert ieu_i_extension(initial[C], D, sils) == i_map[D]
+
     @given(q_databases())
     def test_batch_agrees_with_per_item(self, dbeut):
         db, eut = dbeut
-        sils = build_sil(db, eut)
-        for sid, sil in sils.items():
-            for pos in range(1, len(db.sequences[sid].itemsets) + 1):
-                row = sil_row(sil, pos)
-                # The entries after an instance's slot are the items above the
-                # prefix's last one only because rows strictly ascend.
-                assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
-        chains = list(build_initial_ichains(sils).values())
-        for seed in list(chains):
-            # depth 2: prefixes whose last itemset holds two items, and
-            # prefixes with several instances in one sequence
-            i_map, s_map = extension_utilizations(seed, sils)
-            chains += [c for c, _ in extend_ichain_i(seed, sorted(i_map), sils)]
-            chains += [c for c, _ in extend_ichain_s(seed, sorted(s_map), sils)]
-        for chain in chains:
-            i_map, s_map = extension_utilizations(chain, sils)
-            last = chain.pattern[-1][-1]
-            items = range(len(eut.weights))
-            assert set(i_map) == {
-                j for j in items if j > last and ieu_i_by_sequence(chain, j, sils)
-            }
-            assert set(s_map) == {j for j in items if ieu_s_by_sequence(chain, j, sils)}
-            for j in i_map:
-                assert i_map[j] == ieu_i_extension(chain, j, sils)
-            for j in s_map:
-                assert s_map[j] == ieu_s_extension(chain, j, sils)
+        _assert_batch_agrees_with_per_item(db, eut, build_sil(db, eut))
+
+    @given(
+        databases_where_guip_leaves_a_gap(wide_databases()),
+        st.sampled_from(["0", "0.2", "0.4"]),
+    )
+    def test_batch_agrees_with_per_item_on_wide_itemsets(self, dbeut, xi):
+        # xi 0 deletes nothing; above it GUIP deletes z and leaves a gap.
+        db, eut = dbeut
+        deleted, _ = guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut)))
+        _assert_batch_agrees_with_per_item(db, eut, build_sil(db, eut, deleted))
+
+
+def _assert_batch_agrees_with_per_item(db, eut, sils):
+    for sid, sil in sils.items():
+        for pos in range(1, len(db.sequences[sid].itemsets) + 1):
+            row = sil_row(sil, pos)
+            # The entries after an instance's slot are the items above the
+            # prefix's last one only because rows strictly ascend.
+            assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
+    chains = list(build_initial_ichains(sils).values())
+    for seed in list(chains):
+        # depth 2: prefixes whose last itemset holds two items, and
+        # prefixes with several instances in one sequence
+        i_map, s_map = extension_utilizations(seed, sils)
+        chains += [c for c, _ in extend_ichain_i(seed, sorted(i_map), sils)]
+        chains += [c for c, _ in extend_ichain_s(seed, sorted(s_map), sils)]
+    for chain in chains:
+        i_map, s_map = extension_utilizations(chain, sils)
+        last = chain.pattern[-1][-1]
+        items = range(len(eut.weights))
+        assert set(i_map) == {j for j in items if j > last and ieu_i_by_sequence(chain, j, sils)}
+        assert set(s_map) == {j for j in items if ieu_s_by_sequence(chain, j, sils)}
+        for j in i_map:
+            assert i_map[j] == ieu_i_extension(chain, j, sils)
+        for j in s_map:
+            assert s_map[j] == ieu_s_extension(chain, j, sils)
 
 
 class TestLUIP:

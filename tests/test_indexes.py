@@ -39,15 +39,16 @@ from hucsp.indexes import (
 def _elements(chain, sils):
     """sid -> (ending position, utility) pairs, once every slot is checked.
 
-    An element's slot must hold the entry of the pattern's last item in
-    the row of its ending position.
+    An element's slot must hold the (item, utility) entry of the pattern's
+    last item in the row of its ending position.
     """
     last = chain.pattern[-1][-1]
     out = {}
     for sid, elements in chain.lists:
         sil = sils[sid]
         for pos, slot, utility in elements:
-            assert sil[slot] == next(e for e in sil_row(sil, pos) if e[0] == last)
+            assert sil[pos] <= slot < sil[pos + 1]
+            assert sil[slot] == next(e for e in sil_row(sil, pos) if e[0] == last)[:2]
         out[sid] = [(pos, utility) for pos, _, utility in elements]
     return out
 
@@ -207,14 +208,23 @@ class TestSIL:
         reference = [_reference_sil(seq, eut, deleted) for seq in db.sequences]
         assert list(sils) == [sid for sid, rows in enumerate(reference) if rows]
         for sid, sil in sils.items():
-            positions = range(len(db.sequences[sid].itemsets) + 2)
+            n = len(db.sequences[sid].itemsets)
+            positions = range(n + 2)
             assert [sil_row(sil, pos) for pos in positions] == [
                 reference[sid].get(pos, ()) for pos in positions
+            ]
+            # The rests close the tuple: sil[-p] is the utility at positions p and on.
+            assert len(sil) == sil[sil[0] - 1] + n + 2
+            assert [sil[-p] for p in range(1, n + 3)] == [
+                sum(u for at, row in reference[sid].items() if at >= p for _, u, _ in row)
+                for p in range(1, n + 3)
             ]
 
     def test_memory_per_surviving_q_item(self):
         # Python 3.11.7: the {position: row} dict SIL took about 117 bytes per
-        # q-item here, the one-tuple SIL about 86.
+        # q-item here, the one-tuple SIL with an (item, utility, remaining)
+        # triple per entry about 86, and shared (item, utility) entries with
+        # one rest per position about 29.
         db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=7))
         q_items = sum(len(itemset) for seq in db.sequences for itemset in seq.itemsets)
         tracemalloc.start()
@@ -224,7 +234,17 @@ class TestSIL:
         finally:
             tracemalloc.stop()
         assert len(sils) == 2000
-        assert peak / q_items < 96
+        assert peak / q_items < 40
+
+    @given(_gapped_databases())
+    def test_equal_entries_are_one_object(self, case):
+        # q_databases draws a fresh QItem per occurrence, so equal q-items
+        # are shared by the SIL build, not by the database.
+        db, eut, deleted = case
+        shared: dict = {}
+        for sil in build_sil(db, eut, deleted).values():
+            for entry in sil[sil[0] : sil[sil[0] - 1]]:
+                assert shared.setdefault(entry, entry) is entry
 
 
 class TestInitialIChains:

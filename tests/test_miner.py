@@ -21,6 +21,7 @@ from conftest import (
     growing,
     inflating,
     q_databases,
+    wide_databases,
 )
 from hucsp.bounds import Threshold, guip_revise
 from hucsp.core import (
@@ -252,6 +253,19 @@ class TestOracleEquivalence:
         assert got == oracle_mine(db, eut, xi)
 
     @given(
+        st.one_of(wide_databases(), databases_where_guip_leaves_a_gap(wide_databases())),
+        st.sampled_from(["0.1", "0.2", "0.4", "0.6"]),
+        st.integers(2, 5),
+    )
+    def test_wide_itemsets_match_the_oracle(self, dbeut, xi, max_len):
+        # Uncapped, a wide itemset's every subset can clear the bar (tens of
+        # thousands of patterns); the cap keeps both miners quick.
+        db, eut = dbeut
+        config = MiningConfig(xi=xi, max_pattern_length=max_len)
+        got, _ = mine(db, eut, config)
+        assert got == oracle_mine(db, eut, xi, max_len=max_len)
+
+    @given(
         huge_quantity_databases(),
         st.sampled_from(["0", "0.2", "0.4", "0.6", "1"]),
         st.booleans(),
@@ -309,19 +323,8 @@ class TestDeterminism:
 
     def test_search_visit_order(self, running, monkeypatch):
         """Depth first, item-extensions before sequence-extensions, items ascending."""
-        import hucsp.miner as miner_module
-
         db, eut = running
-        visited = []
-        scan = miner_module.extension_utilizations
-
-        def recording(prefix, sils):
-            visited.append(format_pattern(prefix.pattern, db.names))
-            return scan(prefix, sils)
-
-        monkeypatch.setattr(miner_module, "extension_utilizations", recording)
-        mine(db, eut, MiningConfig(xi="0.25"))
-        assert visited == [
+        assert _visit_order(db, eut, MiningConfig(xi="0.25"), monkeypatch) == [
             "a -1",
             "a -1 c -1",
             "b -1",
@@ -334,6 +337,42 @@ class TestDeterminism:
             "f -1",
             "f -1 a -1",
         ]
+
+    def test_sibling_visit_order(self, monkeypatch):
+        """Each node's item-extensions, items ascending, then its sequence-extensions."""
+        db, eut = parse_database("a:1 b:1 c:1 -1 a:1 b:1 -1 -2\n", "a 1\nb 1\nc 1\n")
+        # Length 3 is the cap, so every node of one or two items is scanned.
+        config = MiningConfig(xi="0", max_pattern_length=3)
+        assert _visit_order(db, eut, config, monkeypatch) == [
+            "a -1",
+            "a b -1",
+            "a c -1",
+            "a -1 a -1",
+            "a -1 b -1",
+            "b -1",
+            "b c -1",
+            "b -1 a -1",
+            "b -1 b -1",
+            "c -1",
+            "c -1 a -1",
+            "c -1 b -1",
+        ]
+
+
+def _visit_order(db, eut, config, monkeypatch):
+    """The patterns whose extensions the search scans, in scan order."""
+    import hucsp.miner as miner_module
+
+    visited = []
+    scan = miner_module.extension_utilizations
+
+    def recording(prefix, sils):
+        visited.append(format_pattern(prefix.pattern, db.names))
+        return scan(prefix, sils)
+
+    monkeypatch.setattr(miner_module, "extension_utilizations", recording)
+    mine(db, eut, config)
+    return visited
 
 
 class TestEffectiveSearchRate:
