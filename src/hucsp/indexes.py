@@ -16,14 +16,16 @@ An IChain indexes every instance of one pattern: per containing sequence, the
 (ending position, slot, instance utility) triples in ascending position
 order, as plain tuples; slot is the offset of the entry of the instance's
 last q-item.  A single-item chain is built from its item's run of
-occurrences only when it is looked up.  Chains for extended patterns are
-built from the parent chain plus the SIL without touching the database
-again: one pass over a parent chain builds the chains of all requested
-siblings of one kind and their utilities.
+occurrences, int32 (rank, slot) pairs, only when it is looked up.  Chains
+for extended patterns are built from the parent chain plus the SIL without
+touching the database again: one pass over a parent chain builds the chains
+of all requested siblings of one kind and their utilities.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -134,32 +136,37 @@ class IChain:
 class _SeedChains(Mapping[Item, IChain]):
     """Single-item chains, each built from its item's run when looked up.
 
-    A run holds every occurrence of one item as flat sid, position, slot
-    values in sid and position order; the utility is read from the SIL
-    entry at the slot.  Nothing built is kept, so a caller that walks
-    values() holds one chain at a time.
+    A run holds every occurrence of one item as flat rank, slot pairs in
+    an int32 array, in rank and slot order.  Rank k names the k-th SIL;
+    chains take its sid from the keys of sils and so share those ints.
+    The position is the row whose start offsets bracket the slot, found by
+    bisection: row starts ascend, and a gap's empty row repeats the next
+    row's start, so the rightmost start at or below the slot is its row's.
+    The utility is read from the SIL entry at the slot.  Nothing built is
+    kept, so a caller that walks values() holds one chain at a time.
     """
 
-    __slots__ = ("_runs", "_sils")
+    __slots__ = ("_runs", "_sils", "_sids")
 
-    def __init__(self, runs: dict[Item, list[int]], sils: Mapping[int, SIL]) -> None:
+    def __init__(self, runs: dict[Item, array], sils: Mapping[int, SIL]) -> None:
         self._runs = runs
         self._sils = sils
+        self._sids = tuple(sils)
 
     def __getitem__(self, item: Item) -> IChain:
         lists: list[InstanceList] = []
         elements: list[tuple[int, int, int]] = []
-        last, sils = None, self._sils
+        last, sils, sids = None, self._sils, self._sids
         values = iter(self._runs[item])
-        for sid, pos, slot in zip(values, values, values):
-            if sid != last:
+        for rank, slot in zip(values, values):
+            if rank != last:
                 if elements:
-                    lists.append(_new_list((last, tuple(elements))))
+                    lists.append(_new_list((sids[last], tuple(elements))))
                     elements = []
-                last = sid
-                sil = sils[sid]
-            elements.append((pos, slot, sil[slot][1]))
-        lists.append(_new_list((last, tuple(elements))))
+                last = rank
+                sil = sils[sids[rank]]
+            elements.append((bisect_right(sil, slot, 1, sil[0] - 1) - 1, slot, sil[slot][1]))
+        lists.append(_new_list((sids[last], tuple(elements))))
         return IChain(((item,),), tuple(lists))
 
     def __iter__(self) -> Iterator[Item]:
@@ -173,20 +180,17 @@ def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
     """IChains of every single-item pattern in the indexed database, in item order.
 
     sils must hold its sids in ascending order, as build_sil returns them;
-    each SIL is walked once in position order, so every run comes out
-    sorted.  Each chain is built when it is looked up (see _SeedChains).
+    each SIL's entries are walked once in slot order, so every run comes
+    out sorted.  Each chain is built when it is looked up (see _SeedChains).
     """
-    runs: defaultdict[Item, list[int]] = defaultdict(list)
+    runs: defaultdict[Item, array] = defaultdict(partial(array, "i"))
     last_sid = None
-    for sid, sil in sils.items():
+    for rank, (sid, sil) in enumerate(sils.items()):
         if last_sid is not None and sid <= last_sid:
             raise ValueError("SILs must be in ascending sid order")
         last_sid = sid
-        pos = 0
         for slot in range(sil[0], sil[sil[0] - 1]):
-            while slot >= sil[pos + 1]:  # step past rows that end by slot, gaps too
-                pos += 1
-            runs[sil[slot][0]].extend((sid, pos, slot))
+            runs[sil[slot][0]].fromlist([rank, slot])
     return _SeedChains({item: runs[item] for item in sorted(runs)}, sils)
 
 

@@ -64,17 +64,17 @@ def indexed(running):
     return db, eut, sils, build_initial_ichains(sils)
 
 
-def inflating(extend):
-    """A chain builder that reports every child's utility 10**9 too high."""
+def inflating(extend, amount=10**9):
+    """A chain builder that reports every child's utility amount too high."""
 
     def wrapper(prefix, items, sils):
-        return [(child, utility + 10**9) for child, utility in extend(prefix, items, sils)]
+        return [(child, utility + amount) for child, utility in extend(prefix, items, sils)]
 
     return wrapper
 
 
-def growing(extension_utilizations):
-    """A bound scan that reports IEU 10**9 too high below every prefix of 2+ items.
+def growing(extension_utilizations, amount=10**9):
+    """A bound scan that reports IEU amount too high below every prefix of 2+ items.
 
     Prefixes of one item keep their true bounds, so a child admitted under
     its true IEU then sees its own extensions' bounds exceed it.
@@ -85,8 +85,8 @@ def growing(extension_utilizations):
         if pattern_length(prefix.pattern) < 2:
             return i_map, s_map
         return (
-            {item: ieu + 10**9 for item, ieu in i_map.items()},
-            {item: ieu + 10**9 for item, ieu in s_map.items()},
+            {item: ieu + amount for item, ieu in i_map.items()},
+            {item: ieu + amount for item, ieu in s_map.items()},
         )
 
     return wrapper

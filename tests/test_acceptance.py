@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
 from conftest import A, B, C, D, E, F
 from hucsp.bounds import (
     Threshold,
@@ -111,6 +112,7 @@ def test_criterion_04_bound_goldens(running):
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_oracle_equivalence(corpus200):
     started = time.perf_counter()
     mismatches = []
@@ -132,6 +134,7 @@ def test_criterion_05_oracle_equivalence(corpus200):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_bound_invariants(corpus200):
     violations = []
     for index, (db, eut) in enumerate(corpus200):
@@ -153,6 +156,7 @@ def test_criterion_06_bound_invariants(corpus200):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_pruning_neutrality(running, corpus200):
     combos = [(g, l) for g in (True, False) for l in (True, False)]
     differences = []
@@ -202,6 +206,7 @@ def test_criterion_08_deletion_cannot_bridge_a_gap():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_scalability_smoke():
     sizes = (10_000, 20_000, 40_000)
     databases = {

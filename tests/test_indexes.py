@@ -292,6 +292,46 @@ class TestInitialIChains:
             A: 24, B: 20, C: 24, D: 6, E: 6, F: 13,
         }
 
+    def test_positions_after_two_adjacent_gaps(self):
+        from hucsp.dataio import parse_database
+
+        db, eut = parse_database(
+            "b:1 -1 -2\na:9 -1 b:1 -1 b:1 -1 a:9 c:5 -1 -2\na:20 c:30 -1 -2\n",
+            "a 10\nb 1\nc 1\n",
+        )
+        # SWU(b)=188 < 209: b goes, leaving sequence 0 without a SIL (so a
+        # SIL's rank is not its sid) and emptying rows 2 and 3 of sequence
+        # 1; a opens rows 1 and 4 there, and c follows a in row 4.
+        deleted, _ = guip_revise(db, eut, Threshold.from_text("0.5", db_utility(db, eut)))
+        assert deleted == {1}
+        sils = build_sil(db, eut, deleted)
+        assert list(sils) == [1, 2]
+        assert sils[1][:7] == (7, 7, 8, 8, 8, 10, 10)
+        initial = build_initial_ichains(sils)
+        assert _elements(initial[0], sils) == {1: [(1, 90), (4, 90)], 2: [(1, 200)]}
+        assert _elements(initial[2], sils) == {1: [(4, 5)], 2: [(1, 30)]}
+        for item, chain in initial.items():
+            for sid, elements in chain.lists:
+                assert tuple(pos for pos, _, _ in elements) == ending_positions(
+                    ((item,),), db.sequences[sid]
+                )
+
+    def test_memory_per_surviving_occurrence(self):
+        # Python 3.11.7: runs of (sid, position, slot) Python ints in a list
+        # per item took about 26 bytes per occurrence here, int32 arrays of
+        # (rank, slot) pairs with a tuple of the sids about 10.
+        db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=7))
+        sils = build_sil(db, eut)
+        occurrences = sum(sil[sil[0] - 1] - sil[0] for sil in sils.values())
+        tracemalloc.start()
+        try:
+            initial = build_initial_ichains(sils)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(initial) == len(eut.weights)
+        assert peak / occurrences < 12
+
 
 class TestExtension:
     def test_item_extension_ae(self, indexed):

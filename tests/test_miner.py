@@ -23,7 +23,7 @@ from conftest import (
     q_databases,
     wide_databases,
 )
-from hucsp.bounds import Threshold, guip_revise
+from hucsp.bounds import Threshold, extension_utilizations, guip_revise
 from hucsp.core import (
     ExternalUtilityTable,
     QItem,
@@ -33,6 +33,7 @@ from hucsp.core import (
     pattern_length,
 )
 from hucsp.dataio import format_pattern, parse_database
+from hucsp.indexes import build_initial_ichains, build_sil, extend_ichain_s
 from hucsp.miner import (
     BoundViolationError,
     MiningConfig,
@@ -197,6 +198,44 @@ class TestValidationAndAsserts:
         # merely prune less
         results, _ = mine(db, eut, MiningConfig(xi="0.25"))
         assert results == [(((A,), (C,)), 36), (((B, F),), 27)]
+
+    # <{a},{b},{c}> with unit utilities: <a,b,c> is worth exactly its IEU
+    # below <a,b>, 3, which is also the IEU <a,b> was admitted under.
+    EDGE_DB_TEXT = "a:1 -1 b:1 -1 c:1 -1 -2\n"
+    EDGE_EUT_TEXT = "a 1\nb 1\nc 1\n"
+
+    def test_assert_bounds_passes_at_its_edge(self):
+        db, eut = parse_database(self.EDGE_DB_TEXT, self.EDGE_EUT_TEXT)
+        sils = build_sil(db, eut)
+        a = build_initial_ichains(sils)[0]
+        _, below_a = extension_utilizations(a, sils)
+        [(ab, _)] = extend_ichain_s(a, [1], sils)
+        _, below_ab = extension_utilizations(ab, sils)
+        [(_, abc_utility)] = extend_ichain_s(ab, [2], sils)
+        assert below_a[1] == below_ab[2] == abc_utility == 3
+        results, _ = mine(db, eut, MiningConfig(xi="0", assert_bounds=True))
+        assert dict(results)[((0,), (1,), (2,))] == 3
+
+    def test_assert_bounds_detects_a_utility_one_above_its_bound(self, monkeypatch):
+        import hucsp.miner as miner_module
+
+        db, eut = parse_database(self.EDGE_DB_TEXT, self.EDGE_EUT_TEXT)
+        for name in ("extend_ichain_i", "extend_ichain_s"):
+            monkeypatch.setattr(miner_module, name, inflating(getattr(miner_module, name), 1))
+        with pytest.raises(BoundViolationError, match="utility exceeds its extension bound: 4 > 3"):
+            mine(db, eut, MiningConfig(xi="0", assert_bounds=True))
+
+    def test_assert_bounds_detects_an_ieu_one_above_its_parent(self, monkeypatch):
+        import hucsp.miner as miner_module
+
+        db, eut = parse_database(self.EDGE_DB_TEXT, self.EDGE_EUT_TEXT)
+        monkeypatch.setattr(
+            miner_module,
+            "extension_utilizations",
+            growing(miner_module.extension_utilizations, 1),
+        )
+        with pytest.raises(BoundViolationError, match="IEU grew along an extension: 4 > 3"):
+            mine(db, eut, MiningConfig(xi="0", assert_bounds=True))
 
 
 class TestOracleEquivalence:
