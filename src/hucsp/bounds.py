@@ -174,28 +174,30 @@ def extension_utilizations(
     sets are exactly the candidate extension items.  At an instance (pos,
     slot, utility), they are row pos + 1 and the entries after the slot in
     row pos, walked backwards from utility plus the rest after row pos + 1:
-    the running sum reaches each candidate's bound at its entry.  A
-    sequence with one instance adds its values straight into the totals;
-    only one with several keeps per-item maxima first.
+    the running sum reaches each candidate's bound at its entry.  The
+    chain's singles, four ints per sequence, add their values straight into
+    the totals; only a group, a sid and three ints per instance, keeps
+    per-item maxima first.
     """
     i_totals: dict[Item, int] = {}
     s_totals: dict[Item, int] = {}
-    for sid, elements in prefix.lists:
+    it = iter(prefix.singles)
+    for sid, pos, slot, utility in zip(it, it, it, it):
         sil = sils[sid]
-        if len(elements) == 1:
-            ((pos, slot, utility),) = elements
-            end = sil[pos + 1]
-            rest = utility + sil[-pos - 2]
-            for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
-                rest += gained
-                s_totals[item] = s_totals.get(item, 0) + rest
-            for item, gained in sil[end - 1 : slot : -1]:
-                rest += gained
-                i_totals[item] = i_totals.get(item, 0) + rest
-            continue
+        end = sil[pos + 1]
+        rest = utility + sil[-pos - 2]
+        for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
+            rest += gained
+            s_totals[item] = s_totals.get(item, 0) + rest
+        for item, gained in sil[end - 1 : slot : -1]:
+            rest += gained
+            i_totals[item] = i_totals.get(item, 0) + rest
+    for group in prefix.groups:
+        it = iter(group)
+        sil = sils[next(it)]
         i_best: dict[Item, int] = {}
         s_best: dict[Item, int] = {}
-        for pos, slot, utility in elements:
+        for pos, slot, utility in zip(it, it, it):
             end = sil[pos + 1]
             rest = utility + sil[-pos - 2]
             for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:

@@ -137,6 +137,7 @@ def _peak_memory_bytes() -> int | None:
 
     Linux's VmHWM starts afresh at exec; ru_maxrss, the fallback where /proc
     is missing, is kept across exec, so it can count the process before it.
+    ru_maxrss is in bytes on macOS and in KiB elsewhere.
     """
     try:
         with open("/proc/self/status", encoding="ascii") as f:
@@ -149,7 +150,8 @@ def _peak_memory_bytes() -> int | None:
         import resource
     except ImportError:  # pragma: no cover
         return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 def _emit_report(report: dict, path: str | None) -> None:

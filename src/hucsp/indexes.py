@@ -12,14 +12,17 @@ the tuple in reverse order: sil[-p] is the utility at position p or later, 0
 for p = n + 1 and n + 2.  sil_row adds each entry's remaining utility: what
 follows it in its row plus the next position's rest.
 
-An IChain indexes every instance of one pattern: per containing sequence, the
-(ending position, slot, instance utility) triples in ascending position
-order, as plain tuples; slot is the offset of the entry of the instance's
-last q-item.  A single-item chain is built from its item's run of
-occurrences, int32 (rank, slot) pairs, only when it is looked up.  Chains
-for extended patterns are built from the parent chain plus the SIL without
-touching the database again: one pass over a parent chain builds the chains
-of all requested siblings of one kind and their utilities.
+An IChain indexes every instance of one pattern as (ending position, slot,
+instance utility) ints; slot is the offset of the entry of the instance's
+last q-item.  A sequence holding exactly one instance adds sid, position,
+slot and utility to one flat tuple, singles; a sequence holding several gets
+a flat tuple of its own in groups, its sid and then each instance's three
+ints, positions ascending.  Sids ascend within each field, and no sid is in
+both.  A single-item chain is built from its item's run of occurrences,
+int32 (rank, slot) pairs, only when it is looked up.  Chains for extended
+patterns are built from the parent chain plus the SIL without touching the
+database again: one pass over a parent chain builds the chains of all
+requested siblings of one kind and their utilities.
 """
 
 from __future__ import annotations
@@ -127,10 +130,35 @@ _new_list = partial(tuple.__new__, InstanceList)
 
 @dataclass(frozen=True)
 class IChain:
-    """All instances of one pattern, grouped by sequence, positions ascending."""
+    """All instances of one pattern, flat (see the module docstring).
+
+    singles: (sid, pos, slot, utility) for each sequence holding exactly one
+    instance; groups: one (sid, pos, slot, utility, pos, slot, utility, ...)
+    per sequence holding two or more.  Sids ascend within each field.
+    """
 
     pattern: Pattern
-    lists: tuple[InstanceList, ...]
+    singles: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
+
+    @property
+    def lists(self) -> tuple[InstanceList, ...]:
+        """The same instances as one InstanceList per sequence, sids ascending.
+
+        Built afresh on every access, for reading and checking; the mining
+        path never reads it.
+        """
+        it = iter(self.singles)
+        lists = [
+            _new_list((sid, ((pos, slot, utility),)))
+            for sid, pos, slot, utility in zip(it, it, it, it)
+        ]
+        for group in self.groups:
+            it = iter(group)
+            sid = next(it)
+            lists.append(_new_list((sid, tuple(zip(it, it, it)))))
+        lists.sort(key=itemgetter(0))
+        return tuple(lists)
 
 
 class _SeedChains(Mapping[Item, IChain]):
@@ -154,20 +182,28 @@ class _SeedChains(Mapping[Item, IChain]):
         self._sids = tuple(sils)
 
     def __getitem__(self, item: Item) -> IChain:
-        lists: list[InstanceList] = []
-        elements: list[tuple[int, int, int]] = []
+        singles: list[int] = []
+        groups: list[tuple[int, ...]] = []
+        # The sequence being read: its sid, then each instance's three ints.
+        found: list[int] = []
         last, sils, sids = None, self._sils, self._sids
         values = iter(self._runs[item])
         for rank, slot in zip(values, values):
             if rank != last:
-                if elements:
-                    lists.append(_new_list((sids[last], tuple(elements))))
-                    elements = []
+                if len(found) == 4:
+                    singles += found
+                elif found:
+                    groups.append(tuple(found))
                 last = rank
-                sil = sils[sids[rank]]
-            elements.append((bisect_right(sil, slot, 1, sil[0] - 1) - 1, slot, sil[slot][1]))
-        lists.append(_new_list((sids[last], tuple(elements))))
-        return IChain(((item,),), tuple(lists))
+                sid = sids[rank]
+                sil = sils[sid]
+                found = [sid]
+            found += (bisect_right(sil, slot, 1, sil[0] - 1) - 1, slot, sil[slot][1])
+        if len(found) == 4:
+            singles += found
+        else:
+            groups.append(tuple(found))
+        return IChain(((item,),), tuple(singles), tuple(groups))
 
     def __iter__(self) -> Iterator[Item]:
         return iter(self._runs)
@@ -196,23 +232,43 @@ def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
 
 def _extend_ichains(
     prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL], step: int
-) -> list[tuple[tuple[InstanceList, ...], int]]:
-    """Instance lists and pattern utility of each item placed step positions on.
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]]:
+    """Singles, groups and pattern utility of each item placed step positions on.
 
     One pass over the prefix chain serves every item.  An instance extends
     when item occurs at ending position + step, after the instance's slot
     when step is 0; the new instance ends at that entry and its utility
     grows by that occurrence.  A child's utility is the sum of its
-    per-sequence maxima, kept as the lists are built.
+    per-sequence maxima, kept as the chains are built.  An item occurs at
+    most once in a row, so a single instance has at most one child per
+    item: it goes straight to that child's singles and total.  A group
+    keeps per-item maxima; a group that leaves a child one instance adds
+    it to that child's singles, merged in sid order at the end.
     """
     wanted = set(items)
-    lists: dict[Item, list[InstanceList]] = {item: [] for item in wanted}
+    singles: dict[Item, list[int]] = {item: [] for item in wanted}
+    groups: dict[Item, list[tuple[int, ...]]] = {item: [] for item in wanted}
     totals = dict.fromkeys(wanted, 0)
-    for sid, elements in prefix.lists:
+    it = iter(prefix.singles)
+    for sid, epos, slot, utility in zip(it, it, it, it):
         sil = sils[sid]
-        grown: dict[Item, list[tuple[int, int, int]]] = {}
+        pos = epos + step
+        at = sil[pos] if step else slot + 1
+        for item, gained in sil[at : sil[pos + 1]]:
+            if item in wanted:
+                value = utility + gained
+                singles[item] += (sid, pos, at, value)
+                totals[item] += value
+            at += 1
+    # Singles that groups leave behind, per item, sids ascending.
+    late: dict[Item, list[int]] = {}
+    for group in prefix.groups:
+        it = iter(group)
+        sid = next(it)
+        sil = sils[sid]
+        grown: dict[Item, list[int]] = {}
         best: dict[Item, int] = {}
-        for epos, slot, utility in elements:
+        for epos, slot, utility in zip(it, it, it):
             pos = epos + step
             at = sil[pos] if step else slot + 1
             for item, gained in sil[at : sil[pos + 1]]:
@@ -220,17 +276,30 @@ def _extend_ichains(
                     value = utility + gained
                     found = grown.get(item)
                     if found is None:
-                        grown[item] = [(pos, at, value)]
+                        grown[item] = [sid, pos, at, value]
                         best[item] = value
                     else:
-                        found.append((pos, at, value))
+                        found += (pos, at, value)
                         if value > best[item]:
                             best[item] = value
                 at += 1
         for item, found in grown.items():
-            lists[item].append(_new_list((sid, tuple(found))))
+            if len(found) == 4:
+                late.setdefault(item, []).extend(found)
+            else:
+                groups[item].append(tuple(found))
             totals[item] += best[item]
-    return [(tuple(lists[item]), totals[item]) for item in items]
+    # Each item's lists go as its tuples are made, so the two are not all held at once.
+    built = {}
+    for item in wanted:
+        flat = singles.pop(item)
+        if item in late:
+            flat += late.pop(item)
+            # Two ascending runs of (sid, ...) quadruples: sort() merges them.
+            it = iter(flat)
+            flat = (value for quad in sorted(zip(it, it, it, it)) for value in quad)
+        built[item] = (tuple(flat), tuple(groups.pop(item)), totals[item])
+    return [built[item] for item in items]
 
 
 def extend_ichain_i(
@@ -245,8 +314,10 @@ def extend_ichain_i(
     if any(item <= last_itemset[-1] for item in items):
         raise ValueError("item-extension must append a larger item id")
     return [
-        (IChain(head + (last_itemset + (item,),), lists), utility)
-        for item, (lists, utility) in zip(items, _extend_ichains(prefix, items, sils, 0))
+        (IChain(head + (last_itemset + (item,),), singles, groups), utility)
+        for item, (singles, groups, utility) in zip(
+            items, _extend_ichains(prefix, items, sils, 0)
+        )
     ]
 
 
@@ -259,8 +330,10 @@ def extend_ichain_s(
     holds entries, not a gap.  Results follow the order of items.
     """
     return [
-        (IChain(prefix.pattern + ((item,),), lists), utility)
-        for item, (lists, utility) in zip(items, _extend_ichains(prefix, items, sils, 1))
+        (IChain(prefix.pattern + ((item,),), singles, groups), utility)
+        for item, (singles, groups, utility) in zip(
+            items, _extend_ichains(prefix, items, sils, 1)
+        )
     ]
 
 
@@ -268,13 +341,8 @@ def ichain_pattern_utility(chain: IChain) -> int:
     """Pattern utility from the chain alone: per-sequence maxima, summed.
 
     The search needs it for the single-item chains only; extended chains
-    carry their utility out of the pass that builds them.  Most sequences
-    hold one instance, whose utility is read without taking a maximum.
+    carry their utility out of the pass that builds them.  Every fourth
+    int of singles is a whole sequence's utility, summed without a
+    maximum; a group's utilities are every third int after its sid.
     """
-    utility = itemgetter(2)
-    return sum(
-        [
-            elements[0][2] if len(elements) == 1 else max(map(utility, elements))
-            for _, elements in chain.lists
-        ]
-    )
+    return sum(chain.singles[3::4]) + sum([max(group[3::3]) for group in chain.groups])

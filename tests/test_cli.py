@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT, growing, inflating
+from hucsp import cli
 from hucsp.cli import main
 
 
@@ -79,6 +81,21 @@ class TestMine:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["peak_memory_bytes"] < 64 << 20
+
+    @pytest.mark.parametrize(("platform", "expected"), [("darwin", 5000), ("linux", 5000 * 1024)])
+    def test_peak_memory_fallback_units(self, monkeypatch, platform, expected):
+        # Without /proc the peak comes from ru_maxrss: bytes on macOS, KiB elsewhere.
+        resource = pytest.importorskip("resource")
+
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        usage = types.SimpleNamespace(ru_maxrss=5000)
+        # Shadows the builtin open for the cli module only.
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: usage)
+        assert cli._peak_memory_bytes() == expected
 
     def test_toggles_reach_the_miner(self, workdir, capsys):
         assert main(_mine_args(workdir, "out.txt", "--no-guip", "--no-luip")) == 0

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import A, B, C, D, E, F, databases_where_guip_leaves_a_gap, q_databases
+from conftest import (
+    A,
+    B,
+    C,
+    D,
+    E,
+    F,
+    databases_where_guip_leaves_a_gap,
+    q_databases,
+    wide_databases,
+)
 from hucsp.bounds import Threshold, extension_utilizations, guip_revise, swu_per_item
 from hucsp.core import (
     AbsentItemError,
@@ -26,6 +36,7 @@ from hucsp.core import (
 from hucsp.dataio import GeneratorParams, generate_synthetic
 from hucsp.indexes import (
     IChain,
+    InstanceList,
     build_initial_ichains,
     build_sil,
     extend_ichain_i,
@@ -332,6 +343,32 @@ class TestInitialIChains:
         assert len(initial) == len(eut.weights)
         assert peak / occurrences < 12
 
+    def test_memory_per_extended_instance(self):
+        # Python 3.11.7: an (position, slot, utility) tuple per instance in a
+        # tuple per sequence, each in an InstanceList, took about 171 bytes
+        # per instance here; flat singles and one flat tuple per group take
+        # about 38.  Ten items keep the chains long, so the per-chain objects
+        # do not count.
+        params = GeneratorParams(sequence_count=2000, distinct_items=10, seed=7)
+        db, eut = generate_synthetic(params)
+        sils = build_sil(db, eut)
+        jobs = []
+        for seed in build_initial_ichains(sils).values():
+            i_map, s_map = extension_utilizations(seed, sils)
+            jobs.append((seed, sorted(i_map), sorted(s_map)))
+        tracemalloc.start()
+        try:
+            grown = []
+            for seed, i_items, s_items in jobs:
+                grown += extend_ichain_i(seed, i_items, sils)
+                grown += extend_ichain_s(seed, s_items, sils)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        instances = sum(len(il.elements) for chain, _ in grown for il in chain.lists)
+        assert instances > 50_000
+        assert held / instances < 64
+
 
 class TestExtension:
     def test_item_extension_ae(self, indexed):
@@ -364,7 +401,7 @@ class TestExtension:
 
     def test_extension_can_be_empty(self, indexed):
         _, _, sils, initial = indexed
-        assert extend_ichain_i(initial[E], [F], sils) == [(IChain(((E, F),), ()), 0)]
+        assert extend_ichain_i(initial[E], [F], sils) == [(IChain(((E, F),), (), ()), 0)]
         assert extend_ichain_s(initial[E], [], sils) == []
 
     def test_item_extension_requires_larger_id(self, indexed):
@@ -495,3 +532,64 @@ class TestChainsAgreeWithCalculus:
                 batch = extend(chain, items, sils)
                 assert batch == [extend(chain, [j], sils)[0] for j in items]
                 assert [ext.pattern[-1][-1] for ext, _ in batch] == items
+
+
+def _reference_lists(pattern, db, eut, sils):
+    """One InstanceList per containing sequence, from the direct calculus.
+
+    A deleted item is never in pattern, and deletion moves no position, so
+    the instances in the unrevised database are the chain's.  The slot is
+    the offset of the pattern's last item in the row of the ending position.
+    """
+    last = pattern[-1][-1]
+    lists = []
+    for sid, seq in enumerate(db.sequences):
+        if positions := ending_positions(pattern, seq):
+            sil = sils[sid]
+            elements = tuple(
+                (pos, sil[pos] + [e[0] for e in sil_row(sil, pos)].index(last),
+                 instance_utility(pattern, pos, seq, eut))
+                for pos in positions
+            )
+            lists.append(InstanceList(sid, elements))
+    return tuple(lists)
+
+
+class TestChainLayout:
+    @given(
+        st.one_of(
+            q_databases(),
+            wide_databases(),
+            databases_where_guip_leaves_a_gap(),
+            databases_where_guip_leaves_a_gap(wide_databases()),
+        ),
+        st.sampled_from(["0", "0.2", "0.4"]),
+    )
+    def test_singles_and_groups(self, dbeut, xi):
+        db, eut = dbeut
+        deleted, _ = guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut)))
+        sils = build_sil(db, eut, deleted)
+        chains = list(build_initial_ichains(sils).values())
+        # Depth 3: groups of groups, and singles merged in from groups.
+        for depth_start in (0, len(chains)):
+            for chain in chains[depth_start:]:
+                i_items, s_items = _extension_items(chain, sils)
+                chains += [c for c, _ in extend_ichain_i(chain, i_items, sils)]
+                chains += [c for c, _ in extend_ichain_s(chain, s_items, sils)]
+        for chain in chains:
+            singles, groups = chain.singles, chain.groups
+            assert len(singles) % 4 == 0
+            single_sids = singles[::4]
+            group_sids = tuple(group[0] for group in groups)
+            for group in groups:
+                assert len(group) >= 7 and len(group) % 3 == 1
+            for sids in (single_sids, group_sids):
+                assert all(a < b for a, b in zip(sids, sids[1:]))
+            assert not set(single_sids) & set(group_sids)
+            lists = chain.lists
+            assert lists == _reference_lists(chain.pattern, db, eut, sils)
+            for il in lists:
+                assert (len(il.elements) == 1) == (il.sid in single_sids)
+            assert ichain_pattern_utility(chain) == sum(
+                max(utility for _, _, utility in il.elements) for il in lists
+            )
