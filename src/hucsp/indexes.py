@@ -17,9 +17,10 @@ instance utility) ints; slot is the offset of the entry of the instance's
 last q-item.  A sequence holding exactly one instance adds sid, position,
 slot and utility to one flat tuple, singles; a sequence holding several gets
 a flat tuple of its own in groups, its sid and then each instance's three
-ints, positions ascending.  Sids ascend within each field, and no sid is in
-both.  A single-item chain is built from its item's run of occurrences,
-int32 (rank, slot) pairs, only when it is looked up.  Chains for extended
+ints, positions ascending.  No sid is in both fields.  Sequences follow no
+set order within a field; only IChain.lists sorts them by sid.  A
+single-item chain is built from its item's run of occurrences, int32
+(rank, slot) pairs, only when it is looked up.  Chains for extended
 patterns are built from the parent chain plus the SIL without touching the
 database again: one pass over a parent chain builds the chains of all
 requested siblings of one kind and their utilities.
@@ -33,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import AbstractSet, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ExternalUtilityTable,
@@ -134,7 +135,8 @@ class IChain:
 
     singles: (sid, pos, slot, utility) for each sequence holding exactly one
     instance; groups: one (sid, pos, slot, utility, pos, slot, utility, ...)
-    per sequence holding two or more.  Sids ascend within each field.
+    per sequence holding two or more.  No sid is in both fields, and
+    neither keeps a set sid order; lists is the view sorted by sid.
     """
 
     pattern: Pattern
@@ -215,25 +217,25 @@ class _SeedChains(Mapping[Item, IChain]):
 def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
     """IChains of every single-item pattern in the indexed database, in item order.
 
-    sils must hold its sids in ascending order, as build_sil returns them;
-    each SIL's entries are walked once in slot order, so every run comes
-    out sorted.  Each chain is built when it is looked up (see _SeedChains).
+    Each SIL's entries are walked once in slot order, so every run comes
+    out in rank and slot order, whatever order sils holds its sids in.
+    Each chain is built when it is looked up (see _SeedChains).
     """
     runs: defaultdict[Item, array] = defaultdict(partial(array, "i"))
-    last_sid = None
-    for rank, (sid, sil) in enumerate(sils.items()):
-        if last_sid is not None and sid <= last_sid:
-            raise ValueError("SILs must be in ascending sid order")
-        last_sid = sid
+    for rank, sil in enumerate(sils.values()):
         for slot in range(sil[0], sil[sil[0] - 1]):
             runs[sil[slot][0]].fromlist([rank, slot])
     return _SeedChains({item: runs[item] for item in sorted(runs)}, sils)
 
 
 def _extend_ichains(
-    prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL], step: int
-) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]]:
-    """Singles, groups and pattern utility of each item placed step positions on.
+    prefix: IChain,
+    items: Sequence[Item],
+    sils: Mapping[int, SIL],
+    step: int,
+    grow: Callable[[Item], Pattern],
+) -> list[tuple[IChain, int]]:
+    """Chain of grow(item) and its utility for each item placed step positions on.
 
     One pass over the prefix chain serves every item.  An instance extends
     when item occurs at ending position + step, after the instance's slot
@@ -243,7 +245,7 @@ def _extend_ichains(
     most once in a row, so a single instance has at most one child per
     item: it goes straight to that child's singles and total.  A group
     keeps per-item maxima; a group that leaves a child one instance adds
-    it to that child's singles, merged in sid order at the end.
+    it to that child's singles.  Results follow the order of items.
     """
     wanted = set(items)
     singles: dict[Item, list[int]] = {item: [] for item in wanted}
@@ -260,8 +262,6 @@ def _extend_ichains(
                 singles[item] += (sid, pos, at, value)
                 totals[item] += value
             at += 1
-    # Singles that groups leave behind, per item, sids ascending.
-    late: dict[Item, list[int]] = {}
     for group in prefix.groups:
         it = iter(group)
         sid = next(it)
@@ -285,21 +285,15 @@ def _extend_ichains(
                 at += 1
         for item, found in grown.items():
             if len(found) == 4:
-                late.setdefault(item, []).extend(found)
+                singles[item] += found
             else:
                 groups[item].append(tuple(found))
             totals[item] += best[item]
-    # Each item's lists go as its tuples are made, so the two are not all held at once.
-    built = {}
-    for item in wanted:
-        flat = singles.pop(item)
-        if item in late:
-            flat += late.pop(item)
-            # Two ascending runs of (sid, ...) quadruples: sort() merges them.
-            it = iter(flat)
-            flat = (value for quad in sorted(zip(it, it, it, it)) for value in quad)
-        built[item] = (tuple(flat), tuple(groups.pop(item)), totals[item])
-    return [built[item] for item in items]
+    # Each item's lists go as its chain is made, so the two are not all held at once.
+    return [
+        (IChain(grow(item), tuple(singles.pop(item)), tuple(groups.pop(item))), totals[item])
+        for item in items
+    ]
 
 
 def extend_ichain_i(
@@ -313,12 +307,7 @@ def extend_ichain_i(
     head, last_itemset = prefix.pattern[:-1], prefix.pattern[-1]
     if any(item <= last_itemset[-1] for item in items):
         raise ValueError("item-extension must append a larger item id")
-    return [
-        (IChain(head + (last_itemset + (item,),), singles, groups), utility)
-        for item, (singles, groups, utility) in zip(
-            items, _extend_ichains(prefix, items, sils, 0)
-        )
-    ]
+    return _extend_ichains(prefix, items, sils, 0, lambda item: head + (last_itemset + (item,),))
 
 
 def extend_ichain_s(
@@ -329,12 +318,7 @@ def extend_ichain_s(
     An instance extends only when the position after its ending position
     holds entries, not a gap.  Results follow the order of items.
     """
-    return [
-        (IChain(prefix.pattern + ((item,),), singles, groups), utility)
-        for item, (singles, groups, utility) in zip(
-            items, _extend_ichains(prefix, items, sils, 1)
-        )
-    ]
+    return _extend_ichains(prefix, items, sils, 1, lambda item: prefix.pattern + ((item,),))
 
 
 def ichain_pattern_utility(chain: IChain) -> int:

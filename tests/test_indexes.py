@@ -277,11 +277,6 @@ class TestInitialIChains:
         assert sorted(initial) == [A, B, C, D, E, F]
         assert all(initial[i].pattern == ((i,),) for i in initial)
 
-    def test_refuses_sils_out_of_sid_order(self, indexed):
-        _, _, sils, _ = indexed
-        with pytest.raises(ValueError, match="ascending sid order"):
-            build_initial_ichains({1: sils[1], 0: sils[0]})
-
     @given(st.data())
     def test_mapping_contract(self, data):
         db, eut = data.draw(q_databases())
@@ -570,7 +565,7 @@ class TestChainLayout:
         deleted, _ = guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut)))
         sils = build_sil(db, eut, deleted)
         chains = list(build_initial_ichains(sils).values())
-        # Depth 3: groups of groups, and singles merged in from groups.
+        # Depth 3: groups of groups, and singles that groups leave behind.
         for depth_start in (0, len(chains)):
             for chain in chains[depth_start:]:
                 i_items, s_items = _extension_items(chain, sils)
@@ -583,8 +578,6 @@ class TestChainLayout:
             group_sids = tuple(group[0] for group in groups)
             for group in groups:
                 assert len(group) >= 7 and len(group) % 3 == 1
-            for sids in (single_sids, group_sids):
-                assert all(a < b for a, b in zip(sids, sids[1:]))
             assert not set(single_sids) & set(group_sids)
             lists = chain.lists
             assert lists == _reference_lists(chain.pattern, db, eut, sils)

@@ -33,13 +33,19 @@ from hucsp.core import (
     pattern_length,
 )
 from hucsp.dataio import format_pattern, parse_database
-from hucsp.indexes import build_initial_ichains, build_sil, extend_ichain_s
+from hucsp.indexes import (
+    build_initial_ichains,
+    build_sil,
+    extend_ichain_s,
+    ichain_pattern_utility,
+)
 from hucsp.miner import (
     BoundViolationError,
     MiningConfig,
     MiningStats,
     effective_search_rate,
     mine,
+    recursive_search,
 )
 from hucsp.oracle import enumerate_patterns, oracle_mine
 
@@ -359,6 +365,24 @@ class TestDeterminism:
         mine(db, eut, MiningConfig(xi="0.25"))
         assert len(seen) == 6
         assert most_alive <= 2
+
+    @given(
+        st.one_of(q_databases(), databases_where_guip_leaves_a_gap()),
+        st.sampled_from(["0", "0.2", "0.4"]),
+    )
+    def test_search_ignores_sil_order(self, dbeut, xi):
+        """SILs in reverse sid order give the same seeds and the same search."""
+        db, eut = dbeut
+        threshold = Threshold.from_text(xi, db_utility(db, eut))
+        sils = build_sil(db, eut, guip_revise(db, eut, threshold).deleted_items)
+        views, outcomes = [], []
+        for order in (sils, dict(reversed(sils.items()))):
+            initial = build_initial_ichains(order)
+            views.append({item: chain.lists for item, chain in initial.items()})
+            seeds = ((chain, ichain_pattern_utility(chain)) for chain in initial.values())
+            outcomes.append(recursive_search(seeds, order, threshold, MiningConfig(xi=xi)))
+        assert views[0] == views[1]
+        assert outcomes[0] == outcomes[1]
 
     def test_search_visit_order(self, running, monkeypatch):
         """Depth first, item-extensions before sequence-extensions, items ascending."""
