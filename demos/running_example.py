@@ -68,8 +68,8 @@ print("  IChain of <{a}>:", {f"S{il.sid + 1}": [(pos, u) for pos, _, u in il.ele
 print("\n== upper bounds ==")
 swu = swu_per_item(db, eut)
 print("  SWU:", {db.names[i]: swu[i] for i in sorted(swu)})
-print(f"  IEU of the item-extension <{{ae}}>: {ieu_i_extension(chain_a, E, sils)}")
-print(f"  IEU of the sequence-extension <{{a}},{{c}}>: {ieu_s_extension(chain_a, C, sils)}")
+print(f"  IEU of the item-extension <{{ae}}>: {ieu_i_extension(((A,),), E, db, eut)}")
+print(f"  IEU of the sequence-extension <{{a}},{{c}}>: {ieu_s_extension(((A,),), C, db, eut)}")
 
 print("\n== mining at xi = 25% (minimum utility 26.5) ==")
 results, stats = mine(db, eut, MiningConfig(xi="0.25"))

@@ -1,4 +1,4 @@
-"""Utility upper bounds and the pruning rules built on them.
+"""Utility upper bounds, the pruning rules built on them, and their reference.
 
 Two overestimates drive pruning.  SWU (sequence-weighted utilization) of an
 item sums the full utility of every sequence containing it; any pattern
@@ -13,10 +13,10 @@ IEU (item-extension utilization) bounds every pattern reachable by growing a
 specific extension: per sequence, the best over qualifying prefix instances
 of prefix utility + extension item utility + remaining utility after the
 item, summed over sequences.  IEU never increases along an extension path,
-so an extension below threshold is dropped with its whole subtree.  One
-scan of a node's chain bounds all its extensions (the item-extensions at an
-instance are the SIL entries after its slot in its row), and one LUIP call
-per node and kind keeps those that reach the threshold.
+so an extension below threshold is dropped with its whole subtree.  The
+scan indexes.extension_utilizations bounds all of a node's extensions at
+once, and one LUIP call per node and kind keeps those reaching the
+threshold; ieu_i/s_by_sequence, its reference, read the database alone.
 
 Utilities are exact ints and the threshold an exact rational, so accept
 (utility >= threshold) and prune (bound < threshold) comparisons carry no
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Mapping, NamedTuple
 
-from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight, quoted
-from .indexes import IChain, SIL, sil_row
+from .core import ExternalUtilityTable, Item, Pattern, QSequenceDatabase, missing_weight, quoted
+from .core import ending_positions, instance_utility, remaining_utility_after
 
 # ASCII digits with an optional decimal point, or a ratio of digit runs.
 # Fraction alone would also take a sign, underscores, digits of other
@@ -56,6 +56,8 @@ class Threshold:
 
     @classmethod
     def from_text(cls, xi_text: str, total_utility: int) -> "Threshold":
+        if not isinstance(xi_text, str):
+            raise TypeError(f"threshold must be text, not {type(xi_text).__name__}")
         text = xi_text.strip()
         if not _XI_TEXT.fullmatch(text):
             raise ValueError(f"invalid threshold {quoted(xi_text)}")
@@ -122,97 +124,57 @@ def guip_revise(
 
 
 def _ieu_by_sequence(
-    prefix: IChain, item: Item, sils: Mapping[int, SIL], step: int
+    grown: Pattern, db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item]
 ) -> dict[int, int]:
-    """Per-sequence IEU of placing item step positions after each instance's end.
+    """Per-sequence IEU of the extension grown, whose last item is the one placed.
 
-    A prefix instance qualifies when item occurs there; the bound is instance
-    utility + item utility + remaining utility after the item.  The reference
-    for extension_utilizations: it scans each whole row for item, ignoring
-    slots, and takes every per-sequence maximum, with no single-instance shortcut.
+    Each instance of grown is a qualifying prefix instance plus that item;
+    its bound adds the utility after the item, deleted items left out.  A
+    pattern holding a deleted item has no instances: GUIP left it unindexed.
     """
+    if any(item in deleted for itemset in grown for item in itemset):
+        return {}
     out: dict[int, int] = {}
-    for il in prefix.lists:
-        sil = sils[il.sid]
-        best = -1
-        for epos, _, utility in il.elements:
-            for j, gained, remaining in sil_row(sil, epos + step):
-                if j == item:
-                    best = max(best, utility + gained + remaining)
-        if best >= 0:
-            out[il.sid] = best
+    for sid, seq in enumerate(db.sequences):
+        if positions := ending_positions(grown, seq):
+            out[sid] = max(
+                instance_utility(grown, pos, seq, eut)
+                + remaining_utility_after(seq, pos, grown[-1][-1], eut, deleted)
+                for pos in positions
+            )
     return out
 
 
-def ieu_i_by_sequence(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> dict[int, int]:
-    """Per-sequence IEU of appending item, above the prefix's last, to its last itemset."""
-    if item <= prefix.pattern[-1][-1]:
+def ieu_i_by_sequence(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> dict[int, int]:
+    """Per-sequence IEU of appending item, above the pattern's last, to its last itemset."""
+    if item <= pattern[-1][-1]:
         raise ValueError("item-extension must append a larger item id")
-    return _ieu_by_sequence(prefix, item, sils, 0)
+    return _ieu_by_sequence(pattern[:-1] + (pattern[-1] + (item,),), db, eut, deleted)
 
 
-def ieu_s_by_sequence(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> dict[int, int]:
-    """Per-sequence IEU of appending {item} as a new itemset after the prefix."""
-    return _ieu_by_sequence(prefix, item, sils, 1)
+def ieu_s_by_sequence(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> dict[int, int]:
+    """Per-sequence IEU of appending {item} as a new itemset after the pattern."""
+    return _ieu_by_sequence(pattern + ((item,),), db, eut, deleted)
 
 
-def ieu_i_extension(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> int:
-    return sum(ieu_i_by_sequence(prefix, item, sils).values())
+def ieu_i_extension(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> int:
+    return sum(ieu_i_by_sequence(pattern, item, db, eut, deleted).values())
 
 
-def ieu_s_extension(prefix: IChain, item: Item, sils: Mapping[int, SIL]) -> int:
-    return sum(ieu_s_by_sequence(prefix, item, sils).values())
-
-
-def extension_utilizations(
-    prefix: IChain, sils: Mapping[int, SIL]
-) -> tuple[dict[Item, int], dict[Item, int]]:
-    """IEU of every item-extension and sequence-extension of the prefix.
-
-    One pass over the chain and SIL computes all sibling bounds at once;
-    agrees item-for-item with ieu_i_extension / ieu_s_extension.  The key
-    sets are exactly the candidate extension items.  At an instance (pos,
-    slot, utility), they are row pos + 1 and the entries after the slot in
-    row pos, walked backwards from utility plus the rest after row pos + 1:
-    the running sum reaches each candidate's bound at its entry.  The
-    chain's singles, four ints per sequence, add their values straight into
-    the totals; only a group, a sid and three ints per instance, keeps
-    per-item maxima first.
-    """
-    i_totals: dict[Item, int] = {}
-    s_totals: dict[Item, int] = {}
-    it = iter(prefix.singles)
-    for sid, pos, slot, utility in zip(it, it, it, it):
-        sil = sils[sid]
-        end = sil[pos + 1]
-        rest = utility + sil[-pos - 2]
-        for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
-            rest += gained
-            s_totals[item] = s_totals.get(item, 0) + rest
-        for item, gained in sil[end - 1 : slot : -1]:
-            rest += gained
-            i_totals[item] = i_totals.get(item, 0) + rest
-    for group in prefix.groups:
-        it = iter(group)
-        sil = sils[next(it)]
-        i_best: dict[Item, int] = {}
-        s_best: dict[Item, int] = {}
-        for pos, slot, utility in zip(it, it, it):
-            end = sil[pos + 1]
-            rest = utility + sil[-pos - 2]
-            for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
-                rest += gained
-                if rest > s_best.get(item, -1):
-                    s_best[item] = rest
-            for item, gained in sil[end - 1 : slot : -1]:
-                rest += gained
-                if rest > i_best.get(item, -1):
-                    i_best[item] = rest
-        for item, value in i_best.items():
-            i_totals[item] = i_totals.get(item, 0) + value
-        for item, value in s_best.items():
-            s_totals[item] = s_totals.get(item, 0) + value
-    return i_totals, s_totals
+def ieu_s_extension(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> int:
+    return sum(ieu_s_by_sequence(pattern, item, db, eut, deleted).values())
 
 
 def luip_admits(bounds: Mapping[Item, int], threshold: Threshold) -> list[Item]:

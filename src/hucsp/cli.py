@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .core import collector_paused
 from .dataio import (
@@ -164,22 +165,14 @@ def _emit_report(report: dict, path: str | None) -> None:
 
 
 def _run_report(
-    command: str,
-    args: argparse.Namespace,
-    config: MiningConfig,
-    stats: MiningStats,
-    result_count: int,
-    started: float,
+    command: str, args: argparse.Namespace, config: MiningConfig, stats: MiningStats,
+    result_count: int, started: float,
 ) -> dict:
     return {
         "command": command,
         "db": args.db,
         "eut": args.eut,
-        "xi": config.xi,
-        "enable_guip": config.enable_guip,
-        "enable_luip": config.enable_luip,
-        "max_pattern_length": config.max_pattern_length,
-        "assert_bounds": config.assert_bounds,
+        **asdict(config),
         "out": getattr(args, "out", None),
         "result_count": result_count,
         "stats": stats.to_dict(),

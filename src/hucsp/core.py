@@ -20,7 +20,7 @@ import gc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
 Item = int
 Pattern = tuple[tuple[Item, ...], ...]
@@ -156,17 +156,20 @@ def db_utility(db: QSequenceDatabase, eut: ExternalUtilityTable) -> int:
     return total
 
 
-def remaining_utility_after(seq: QSequence, pos: int, item: Item, eut: ExternalUtilityTable) -> int:
-    """Utility of everything strictly after item at pos in reading order.
+def remaining_utility_after(
+    seq: QSequence, pos: int, item: Item, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> int:
+    """Utility of every item not in deleted strictly after item at pos in reading order.
 
-    Covers the rest of the itemset at pos (larger item ids) plus all later
-    itemsets.
+    Covers the rest of the itemset at pos (larger item ids) and every later
+    itemset: the sum runs on across a GUIP gap, though no instance crosses one.
     """
     # Validates the anchor slot first so a bad query cannot return 0.
     item_utility(item, pos, seq, eut)
     total = 0
     for p, qitem in seq.iter_slots():
-        if p > pos or (p == pos and qitem.item > item):
+        if (p > pos or (p == pos and qitem.item > item)) and qitem.item not in deleted:
             total += qitem.quantity * eut.weight(qitem.item)
     return total
 

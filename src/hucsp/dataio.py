@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (
     ExternalUtilityTable,
@@ -213,16 +213,9 @@ class GeneratorParams:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        for field in (
-            "sequence_count",
-            "distinct_items",
-            "max_itemsets_per_seq",
-            "max_items_per_itemset",
-            "max_quantity",
-            "max_weight",
-        ):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
+        for field in fields(self):
+            if field.name != "seed" and getattr(self, field.name) < 1:
+                raise ValueError(f"{field.name} must be >= 1")
 
 
 def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, ExternalUtilityTable]:

@@ -1,4 +1,4 @@
-"""Sequence information lists and instance chains.
+"""Sequence information lists, instance chains, and the IEU scan over them.
 
 The SIL is a per-sequence mirror of the database: the utility of every
 q-item occurrence whose item GUIP did not delete, and the utility left from
@@ -23,7 +23,8 @@ single-item chain is built from its item's run of occurrences, int32
 (rank, slot) pairs, only when it is looked up.  Chains for extended
 patterns are built from the parent chain plus the SIL without touching the
 database again: one pass over a parent chain builds the chains of all
-requested siblings of one kind and their utilities.
+requested siblings of one kind and their utilities, and one scan of it
+bounds the IEU of all its extensions.  No other module reads either layout.
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ class IChain:
 
     singles: (sid, pos, slot, utility) for each sequence holding exactly one
     instance; groups: one (sid, pos, slot, utility, pos, slot, utility, ...)
-    per sequence holding two or more.  No sid is in both fields, and
-    neither keeps a set sid order; lists is the view sorted by sid.
+    per sequence holding two or more.
     """
 
     pattern: Pattern
@@ -147,8 +147,8 @@ class IChain:
     def lists(self) -> tuple[InstanceList, ...]:
         """The same instances as one InstanceList per sequence, sids ascending.
 
-        Built afresh on every access, for reading and checking; the mining
-        path never reads it.
+        Built afresh on every access, for reading and checking; nothing in
+        the package reads it.
         """
         it = iter(self.singles)
         lists = [
@@ -226,6 +226,57 @@ def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
         for slot in range(sil[0], sil[sil[0] - 1]):
             runs[sil[slot][0]].fromlist([rank, slot])
     return _SeedChains({item: runs[item] for item in sorted(runs)}, sils)
+
+
+def extension_utilizations(
+    prefix: IChain, sils: Mapping[int, SIL]
+) -> tuple[dict[Item, int], dict[Item, int]]:
+    """IEU of every item-extension and sequence-extension of the prefix.
+
+    One pass over the chain and SIL computes all sibling bounds at once;
+    agrees item-for-item with bounds.ieu_i_extension / ieu_s_extension.
+    The key sets are exactly the candidate extension items.  At an instance
+    (pos, slot, utility), they are row pos + 1 and the entries after the
+    slot in row pos, walked backwards from utility plus the rest after row
+    pos + 1: the running sum reaches each candidate's bound at its entry.
+    The chain's singles, four ints per sequence, add their values straight
+    into the totals; only a group, a sid and three ints per instance, keeps
+    per-item maxima first.
+    """
+    i_totals: dict[Item, int] = {}
+    s_totals: dict[Item, int] = {}
+    it = iter(prefix.singles)
+    for sid, pos, slot, utility in zip(it, it, it, it):
+        sil = sils[sid]
+        end = sil[pos + 1]
+        rest = utility + sil[-pos - 2]
+        for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
+            rest += gained
+            s_totals[item] = s_totals.get(item, 0) + rest
+        for item, gained in sil[end - 1 : slot : -1]:
+            rest += gained
+            i_totals[item] = i_totals.get(item, 0) + rest
+    for group in prefix.groups:
+        it = iter(group)
+        sil = sils[next(it)]
+        i_best: dict[Item, int] = {}
+        s_best: dict[Item, int] = {}
+        for pos, slot, utility in zip(it, it, it):
+            end = sil[pos + 1]
+            rest = utility + sil[-pos - 2]
+            for item, gained in sil[sil[pos + 2] - 1 : end - 1 : -1]:
+                rest += gained
+                if rest > s_best.get(item, -1):
+                    s_best[item] = rest
+            for item, gained in sil[end - 1 : slot : -1]:
+                rest += gained
+                if rest > i_best.get(item, -1):
+                    i_best[item] = rest
+        for item, value in i_best.items():
+            i_totals[item] = i_totals.get(item, 0) + value
+        for item, value in s_best.items():
+            s_totals[item] = s_totals.get(item, 0) + value
+    return i_totals, s_totals
 
 
 def _extend_ichains(

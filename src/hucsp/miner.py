@@ -18,10 +18,10 @@ emitted utility-qualified patterns over candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .bounds import Threshold, extension_utilizations, guip_revise, luip_admits
+from .bounds import Threshold, guip_revise, luip_admits
 from .core import (
     ExternalUtilityTable,
     Pattern,
@@ -40,6 +40,7 @@ from .indexes import (
     build_sil,
     extend_ichain_i,
     extend_ichain_s,
+    extension_utilizations,
     ichain_pattern_utility,
 )
 
@@ -59,8 +60,11 @@ class MiningConfig:
     def __post_init__(self) -> None:
         # Refuse bad text before any input is read; mine() parses it again.
         Threshold.from_text(self.xi, 0)
-        if self.max_pattern_length is not None and self.max_pattern_length < 1:
-            raise ValueError(f"max_pattern_length must be >= 1, got {self.max_pattern_length}")
+        cap = self.max_pattern_length
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+            raise TypeError(f"max_pattern_length must be an int, not {type(cap).__name__}")
+        if cap is not None and cap < 1:
+            raise ValueError(f"max_pattern_length must be >= 1, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,8 @@ class MiningStats:
     luip_pruned: int
 
     def to_dict(self) -> dict:
-        return {
-            "candidates": self.candidates,
-            "hucsps": self.hucsps,
-            "guip_deleted_items": self.guip_deleted_items,
-            "guip_rounds": self.guip_rounds,
-            "luip_pruned": self.luip_pruned,
-            "esr": None if self.candidates == 0 else effective_search_rate(self),
-        }
+        esr = None if self.candidates == 0 else effective_search_rate(self)
+        return {**asdict(self), "esr": esr}
 
 
 def recursive_search(

@@ -29,7 +29,7 @@ from hucsp.core import (
     q_sequence_utility,
 )
 from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
-from hucsp.indexes import build_initial_ichains, build_sil, sil_to_text
+from hucsp.indexes import build_sil, sil_to_text
 from hucsp.miner import BoundViolationError, MiningConfig, mine
 from hucsp.oracle import enumerate_patterns, oracle_mine, select_high_utility
 
@@ -93,16 +93,14 @@ def test_criterion_03_sil_golden(running):
 
 def test_criterion_04_bound_goldens(running):
     db, eut = running
-    sils = build_sil(db, eut)
-    initial = build_initial_ichains(sils)
     swu = swu_per_item(db, eut)
     checks = [
         swu[A] == 85,
         swu[D] == 58,
-        ieu_i_extension(initial[A], E, sils) == 20,
-        ieu_i_by_sequence(initial[A], E, sils) == {0: 15, 1: 5},
-        ieu_s_extension(initial[A], C, sils) == 53,
-        ieu_s_by_sequence(initial[A], C, sils) == {0: 13, 1: 18, 4: 22},
+        ieu_i_extension(((A,),), E, db, eut) == 20,
+        ieu_i_by_sequence(((A,),), E, db, eut) == {0: 15, 1: 5},
+        ieu_s_extension(((A,),), C, db, eut) == 53,
+        ieu_s_by_sequence(((A,),), C, db, eut) == {0: 13, 1: 18, 4: 22},
     ]
     _verdict(
         4,

@@ -23,7 +23,6 @@ from conftest import (
 )
 from hucsp.bounds import (
     Threshold,
-    extension_utilizations,
     guip_revise,
     ieu_i_by_sequence,
     ieu_i_extension,
@@ -46,8 +45,10 @@ from hucsp.indexes import (
     build_sil,
     extend_ichain_i,
     extend_ichain_s,
+    extension_utilizations,
     sil_row,
 )
+from hucsp.miner import MiningConfig, mine
 
 
 class TestThreshold:
@@ -211,22 +212,27 @@ class TestGUIP:
 
 
 class TestIEU:
-    def test_item_extension_worked_values(self, indexed):
-        _, _, sils, initial = indexed
-        assert ieu_i_by_sequence(initial[A], E, sils) == {0: 15, 1: 5}
-        assert ieu_i_extension(initial[A], E, sils) == 20
+    def test_item_extension_worked_values(self, running):
+        db, eut = running
+        assert ieu_i_by_sequence(((A,),), E, db, eut) == {0: 15, 1: 5}
+        assert ieu_i_extension(((A,),), E, db, eut) == 20
 
-    def test_sequence_extension_worked_values(self, indexed):
-        _, _, sils, initial = indexed
-        assert ieu_s_by_sequence(initial[A], C, sils) == {0: 13, 1: 18, 4: 22}
-        assert ieu_s_extension(initial[A], C, sils) == 53
+    def test_sequence_extension_worked_values(self, running):
+        db, eut = running
+        assert ieu_s_by_sequence(((A,),), C, db, eut) == {0: 13, 1: 18, 4: 22}
+        assert ieu_s_extension(((A,),), C, db, eut) == 53
 
-    def test_absent_extension_is_zero(self, indexed):
-        _, _, sils, initial = indexed
+    def test_absent_extension_is_zero(self, running):
+        db, eut = running
         # no itemset holds both e and f, and no e is ever followed by a d
-        assert ieu_i_extension(initial[E], F, sils) == 0
-        assert ieu_s_by_sequence(initial[E], D, sils) == {}
-        assert ieu_s_extension(initial[E], D, sils) == 0
+        assert ieu_i_extension(((E,),), F, db, eut) == 0
+        assert ieu_s_by_sequence(((E,),), D, db, eut) == {}
+        assert ieu_s_extension(((E,),), D, db, eut) == 0
+        # a deleted item has no instances, as prefix or as extension
+        assert ieu_s_by_sequence(((A,),), C, db, eut, {C}) == {}
+        assert ieu_s_extension(((C,),), E, db, eut, {C}) == 0
+        # a deleted item after the extension drops out of its remainder
+        assert ieu_s_by_sequence(((A,),), C, db, eut, {E}) == {0: 12, 1: 16, 4: 22}
 
     def test_ieu_dominates_extended_utility(self, indexed):
         from hucsp.core import pattern_utility
@@ -236,61 +242,78 @@ class TestIEU:
             i_map, s_map = extension_utilizations(chain, sils)
             i_items, s_items = sorted(i_map), sorted(s_map)
             for j, (ext, _) in zip(i_items, extend_ichain_i(chain, i_items, sils)):
-                assert pattern_utility(ext.pattern, db, eut) <= ieu_i_extension(chain, j, sils)
+                bound = ieu_i_extension(chain.pattern, j, db, eut)
+                assert pattern_utility(ext.pattern, db, eut) <= bound
             for j, (ext, _) in zip(s_items, extend_ichain_s(chain, s_items, sils)):
-                assert pattern_utility(ext.pattern, db, eut) <= ieu_s_extension(chain, j, sils)
+                bound = ieu_s_extension(chain.pattern, j, db, eut)
+                assert pattern_utility(ext.pattern, db, eut) <= bound
 
     def test_item_extension_refuses_an_item_not_above_the_last(self, indexed):
-        _, _, sils, initial = indexed
-        [(bf, _)] = extend_ichain_i(initial[B], [F], sils)
-        for prefix, item in ((initial[C], A), (initial[C], C), (bf, E)):
+        db, eut, sils, initial = indexed
+        for pattern, item in ((((C,),), A), (((C,),), C), (((B, F),), E)):
             with pytest.raises(ValueError, match="larger item id"):
-                ieu_i_by_sequence(prefix, item, sils)
+                ieu_i_by_sequence(pattern, item, db, eut)
             with pytest.raises(ValueError, match="larger item id"):
-                ieu_i_extension(prefix, item, sils)
+                ieu_i_extension(pattern, item, db, eut)
         i_map, _ = extension_utilizations(initial[C], sils)
-        assert ieu_i_extension(initial[C], D, sils) == i_map[D]
-
-    @given(q_databases())
-    def test_batch_agrees_with_per_item(self, dbeut):
-        db, eut = dbeut
-        _assert_batch_agrees_with_per_item(db, eut, build_sil(db, eut))
+        assert ieu_i_extension(((C,),), D, db, eut) == i_map[D]
 
     @given(
-        databases_where_guip_leaves_a_gap(wide_databases()),
+        st.one_of(q_databases(), databases_where_guip_leaves_a_gap()),
         st.sampled_from(["0", "0.2", "0.4"]),
     )
-    def test_batch_agrees_with_per_item_on_wide_itemsets(self, dbeut, xi):
-        # xi 0 deletes nothing; above it GUIP deletes z and leaves a gap.
+    def test_batch_agrees_with_per_item(self, dbeut, xi):
         db, eut = dbeut
-        deleted, _ = guip_revise(db, eut, Threshold.from_text(xi, db_utility(db, eut)))
-        _assert_batch_agrees_with_per_item(db, eut, build_sil(db, eut, deleted))
+        _assert_batch_agrees_with_per_item(db, eut, MiningConfig(xi=xi))
+
+    @given(
+        st.one_of(wide_databases(), databases_where_guip_leaves_a_gap(wide_databases())),
+        st.sampled_from(["0", "0.2", "0.4"]),
+        st.integers(2, 3),
+    )
+    def test_batch_agrees_with_per_item_on_wide_itemsets(self, dbeut, xi, max_len):
+        # xi 0 deletes nothing; above it GUIP deletes z and leaves a gap.
+        # Uncapped, a wide itemset's every subset is a node at xi 0.
+        db, eut = dbeut
+        config = MiningConfig(xi=xi, max_pattern_length=max_len)
+        _assert_batch_agrees_with_per_item(db, eut, config)
 
 
-def _assert_batch_agrees_with_per_item(db, eut, sils):
-    for sid, sil in sils.items():
-        for pos in range(1, len(db.sequences[sid].itemsets) + 1):
+def _assert_batch_agrees_with_per_item(db, eut, config):
+    """Every chain that mining under config builds: its scan equals the reference."""
+    import hucsp.miner as miner_module
+
+    deleted, _ = guip_revise(db, eut, Threshold.from_text(config.xi, db_utility(db, eut)))
+    sils = build_sil(db, eut, deleted)
+    for sil in sils.values():
+        for pos in range(1, sil[0] - 2):
             row = sil_row(sil, pos)
             # The entries after an instance's slot are the items above the
             # prefix's last one only because rows strictly ascend.
             assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
     chains = list(build_initial_ichains(sils).values())
-    for seed in list(chains):
-        # depth 2: prefixes whose last itemset holds two items, and
-        # prefixes with several instances in one sequence
-        i_map, s_map = extension_utilizations(seed, sils)
-        chains += [c for c, _ in extend_ichain_i(seed, sorted(i_map), sils)]
-        chains += [c for c, _ in extend_ichain_s(seed, sorted(s_map), sils)]
+
+    def recording(extend):
+        def wrapper(prefix, items, sils):
+            grown = extend(prefix, items, sils)
+            chains.extend(chain for chain, _ in grown)
+            return grown
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("extend_ichain_i", "extend_ichain_s"):
+            patch.setattr(miner_module, name, recording(getattr(miner_module, name)))
+        mine(db, eut, config)
+    items = range(len(eut.weights))
     for chain in chains:
+        pattern = chain.pattern
         i_map, s_map = extension_utilizations(chain, sils)
-        last = chain.pattern[-1][-1]
-        items = range(len(eut.weights))
-        assert set(i_map) == {j for j in items if j > last and ieu_i_by_sequence(chain, j, sils)}
-        assert set(s_map) == {j for j in items if ieu_s_by_sequence(chain, j, sils)}
-        for j in i_map:
-            assert i_map[j] == ieu_i_extension(chain, j, sils)
-        for j in s_map:
-            assert s_map[j] == ieu_s_extension(chain, j, sils)
+        above = range(pattern[-1][-1] + 1, len(eut.weights))
+        i_ref = {j: ieu_i_by_sequence(pattern, j, db, eut, deleted) for j in above}
+        s_ref = {j: ieu_s_by_sequence(pattern, j, db, eut, deleted) for j in items}
+        assert i_map == {j: sum(ref.values()) for j, ref in i_ref.items() if ref}
+        assert s_map == {j: sum(ref.values()) for j, ref in s_ref.items() if ref}
 
 
 class TestLUIP:

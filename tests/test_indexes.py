@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,7 +22,8 @@ from conftest import (
     q_databases,
     wide_databases,
 )
-from hucsp.bounds import Threshold, extension_utilizations, guip_revise, swu_per_item
+import hucsp
+from hucsp.bounds import Threshold, guip_revise, swu_per_item
 from hucsp.core import (
     AbsentItemError,
     ExternalUtilityTable,
@@ -41,6 +44,7 @@ from hucsp.indexes import (
     build_sil,
     extend_ichain_i,
     extend_ichain_s,
+    extension_utilizations,
     ichain_pattern_utility,
     sil_row,
     sil_to_text,
@@ -586,3 +590,32 @@ class TestChainLayout:
             assert ichain_pattern_utility(chain) == sum(
                 max(utility for _, _, utility in il.elements) for il in lists
             )
+
+
+class TestModuleBoundary:
+    """Only indexes reads the SIL and chain layouts; bounds computes IEU without them."""
+
+    @staticmethod
+    def _modules():
+        package = Path(hucsp.__file__).parent
+        return {path.name: ast.parse(path.read_text("utf-8")) for path in package.glob("*.py")}
+
+    def test_bounds_imports_nothing_from_indexes(self):
+        imported = set()
+        for node in ast.walk(self._modules()["bounds.py"]):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert "indexes" not in imported
+
+    def test_only_indexes_reads_chain_fields(self):
+        reads = [
+            (name, node.lineno, node.attr)
+            for name, tree in sorted(self._modules().items())
+            if name != "indexes.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in {"singles", "groups", "lists"}
+        ]
+        assert reads == []

@@ -23,7 +23,7 @@ from conftest import (
     q_databases,
     wide_databases,
 )
-from hucsp.bounds import Threshold, extension_utilizations, guip_revise
+from hucsp.bounds import Threshold, guip_revise
 from hucsp.core import (
     ExternalUtilityTable,
     QItem,
@@ -37,6 +37,7 @@ from hucsp.indexes import (
     build_initial_ichains,
     build_sil,
     extend_ichain_s,
+    extension_utilizations,
     ichain_pattern_utility,
 )
 from hucsp.miner import (
@@ -172,6 +173,26 @@ class TestValidationAndAsserts:
             mine(db, eut, MiningConfig(xi="1.5"))
         with pytest.raises(ValueError, match="threshold"):
             mine(db, eut, MiningConfig(xi="xyz"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("xi", 0.25),
+            ("xi", None),
+            ("xi", True),
+            ("xi", b"0.5"),
+            ("max_pattern_length", True),
+            ("max_pattern_length", 2.5),
+        ],
+    )
+    def test_refuses_a_value_of_the_wrong_type(self, running, field, value):
+        # The error names the type, not an attribute or a regex it lacks.
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            MiningConfig(**{"xi": "0.1", field: value})
+        if field == "xi":
+            db, eut = running
+            with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+                oracle_mine(db, eut, value)
 
     def test_assert_bounds_passes_on_healthy_miner(self, running):
         db, eut = running
