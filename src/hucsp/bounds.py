@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import AbstractSet, Mapping, NamedTuple
 
 from .core import ExternalUtilityTable, Item, Pattern, QSequenceDatabase, missing_weight, quoted
-from .core import ending_positions, instance_utility, remaining_utility_after
+from .core import _instance_utilities, check_pattern, remaining_utility_after
 
 # ASCII digits with an optional decimal point, or a ratio of digit runs.
 # Fraction alone would also take a sign, underscores, digits of other
@@ -90,11 +90,10 @@ def swu_per_item(
         for seq in db.sequences:
             total = 0
             items = set()
-            for itemset in seq.itemsets:
-                for item, quantity in itemset:
-                    if item not in deleted:
-                        total += quantity * weight_of[item]
-                        items.add(item)
+            for item, quantity in filter(None, seq.qitems):
+                if item not in deleted:
+                    total += quantity * weight_of[item]
+                    items.add(item)
             for item in items:
                 swu[item] = swu.get(item, 0) + total
     except KeyError as e:
@@ -132,15 +131,15 @@ def _ieu_by_sequence(
     its bound adds the utility after the item, deleted items left out.  A
     pattern holding a deleted item has no instances: GUIP left it unindexed.
     """
+    check_pattern(grown)
     if any(item in deleted for itemset in grown for item in itemset):
         return {}
     out: dict[int, int] = {}
     for sid, seq in enumerate(db.sequences):
-        if positions := ending_positions(grown, seq):
+        if utilities := _instance_utilities(grown, seq, eut):
             out[sid] = max(
-                instance_utility(grown, pos, seq, eut)
-                + remaining_utility_after(seq, pos, grown[-1][-1], eut, deleted)
-                for pos in positions
+                utility + remaining_utility_after(seq, pos, grown[-1][-1], eut, deleted)
+                for pos, utility in utilities.items()
             )
     return out
 

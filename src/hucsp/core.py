@@ -6,6 +6,12 @@ shared across the database.  A pattern matches a q-sequence only where its
 itemsets are subsets of *consecutive* host itemsets, and the utility of the
 pattern in that sequence is the maximum over all such placements.
 
+A QSequence stores its itemsets flat: one tuple of its q-items in reading
+order, where None closes each itemset, as -1 does in the database file.
+The mining path walks that tuple alone.  The nested form, one tuple per
+itemset, is rebuilt on each request; the reference calculus below reads it
+at most once per call.
+
 Positions are 1-based throughout: itemset k of a sequence sits at position
 k.  Mining never rewrites a database: the items GUIP deletes are left out of
 the index instead, where an itemset that loses all its items becomes a gap
@@ -20,7 +26,7 @@ import gc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 Item = int
 Pattern = tuple[tuple[Item, ...], ...]
@@ -43,16 +49,43 @@ class QItem(NamedTuple):
 QItemset = tuple[QItem, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class QSequence:
-    """One q-sequence: itemset k sits at 1-based position k."""
+    """One q-sequence, flat: its q-items in reading order, a None closing each
+    itemset.  QSequence(itemsets) flattens the nested form; from_qitems
+    takes the flat tuple as it is."""
 
-    itemsets: tuple[QItemset, ...]
+    # Declared by hand: dataclass(slots=True) makes a second class, whose
+    # frozen __setattr__ fails with TypeError on a name that is not a field.
+    __slots__ = ("qitems",)
+    qitems: tuple[QItem | None, ...]
+
+    def __init__(self, itemsets: Iterable[Iterable[QItem]]) -> None:
+        object.__setattr__(self, "qitems", tuple(q for s in itemsets for q in (*s, None)))
+
+    @classmethod
+    def from_qitems(cls, qitems: tuple[QItem | None, ...]) -> QSequence:
+        """The sequence whose flat tuple is qitems: q-items with a None closing each itemset."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "qitems", qitems)
+        return seq
+
+    def __reduce__(self):
+        return QSequence.from_qitems, (self.qitems,)
+
+    @property
+    def itemsets(self) -> tuple[QItemset, ...]:
+        """One tuple of q-items per itemset, rebuilt on every access."""
+        ends = [k for k, qitem in enumerate(self.qitems) if qitem is None]
+        return tuple(self.qitems[start + 1 : end] for start, end in zip([-1, *ends], ends))
 
     def iter_slots(self) -> Iterator[tuple[int, QItem]]:
         """Yield (position, q-item) pairs in canonical reading order."""
-        for pos, itemset in enumerate(self.itemsets, start=1):
-            for qitem in itemset:
+        pos = 1
+        for qitem in self.qitems:
+            if qitem is None:
+                pos += 1
+            else:
                 yield pos, qitem
 
 
@@ -124,11 +157,14 @@ def collector_paused() -> Iterator[None]:
 
 def item_utility(item: Item, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Utility of one q-item occurrence: quantity times external utility."""
-    if not 1 <= pos <= len(seq.itemsets):
-        raise IndexError(f"sequence has no position {pos}")
-    for qitem in seq.itemsets[pos - 1]:
-        if qitem.item == item:
+    at = 1
+    for qitem in seq.qitems:
+        if qitem is None:
+            at += 1
+        elif at == pos and qitem.item == item:
             return qitem.quantity * eut.weight(item)
+    if not 1 <= pos < at:
+        raise IndexError(f"sequence has no position {pos}")
     raise AbsentItemError(f"item {item} absent at position {pos}")
 
 
@@ -148,9 +184,8 @@ def db_utility(db: QSequenceDatabase, eut: ExternalUtilityTable) -> int:
     total = 0
     try:
         for seq in db.sequences:
-            for itemset in seq.itemsets:
-                for item, quantity in itemset:
-                    total += quantity * weight_of[item]
+            for item, quantity in filter(None, seq.qitems):
+                total += quantity * weight_of[item]
     except KeyError as e:
         raise missing_weight(e.args[0]) from None
     return total
@@ -174,9 +209,13 @@ def remaining_utility_after(
     return total
 
 
-def _subset_at(items: tuple[Item, ...], itemset: QItemset) -> bool:
-    have = {q.item for q in itemset}
-    return all(i in have for i in items)
+def _instances(pattern: Pattern, seq: QSequence) -> Iterator[tuple[int, tuple[QItemset, ...]]]:
+    """(ending position, host itemsets) of each instance of a checked pattern, ascending."""
+    m, itemsets = len(pattern), seq.itemsets
+    for end in range(m, len(itemsets) + 1):
+        window = itemsets[end - m : end]
+        if all(set(items) <= {q.item for q in host} for items, host in zip(pattern, window)):
+            yield end, window
 
 
 def ending_positions(pattern: Pattern, seq: QSequence) -> tuple[int, ...]:
@@ -187,37 +226,51 @@ def ending_positions(pattern: Pattern, seq: QSequence) -> tuple[int, ...]:
     itemset matched by the pattern's last itemset.
     """
     check_pattern(pattern)
-    m = len(pattern)
-    out: list[int] = []
-    for end in range(m - 1, len(seq.itemsets)):
-        if all(_subset_at(pattern[k], seq.itemsets[end - m + 1 + k]) for k in range(m)):
-            out.append(end + 1)
-    return tuple(out)
+    return tuple(end for end, _ in _instances(pattern, seq))
+
+
+def _instance_utilities(pattern: Pattern, seq: QSequence, eut: ExternalUtilityTable) -> dict[int, int]:
+    """Ending position -> utility of each instance of a checked pattern, positions ascending.
+
+    For callers that loop over the instances: each is matched once, where a
+    call of instance_utility per position matches the whole sequence again.
+    """
+    return {
+        end: sum(
+            q.quantity * eut.weight(q.item)
+            for items, host in zip(pattern, window)
+            for q in host
+            if q.item in items
+        )
+        for end, window in _instances(pattern, seq)
+    }
 
 
 def instance_utility(pattern: Pattern, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Utility of the pattern instance ending at pos."""
-    if pos not in ending_positions(pattern, seq):
+    check_pattern(pattern)
+    utilities = _instance_utilities(pattern, seq, eut)
+    if pos not in utilities:
         raise NoInstanceError(f"pattern has no instance ending at position {pos}")
-    m = len(pattern)
-    return sum(itemset_utility(pattern[k], pos - m + 1 + k, seq, eut) for k in range(m))
+    return utilities[pos]
 
 
 def pattern_utility_in_sequence(pattern: Pattern, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Maximum instance utility of the pattern within one sequence."""
-    eps = ending_positions(pattern, seq)
-    if not eps:
+    check_pattern(pattern)
+    utilities = _instance_utilities(pattern, seq, eut)
+    if not utilities:
         raise NoInstanceError("pattern has no instance in the sequence")
-    return max(instance_utility(pattern, p, seq, eut) for p in eps)
+    return max(utilities.values())
 
 
 def pattern_utility(pattern: Pattern, db: QSequenceDatabase, eut: ExternalUtilityTable) -> int:
     """Pattern utility in the database: per-sequence maxima, summed."""
+    check_pattern(pattern)
     total = 0
     for seq in db.sequences:
-        eps = ending_positions(pattern, seq)
-        if eps:
-            total += max(instance_utility(pattern, p, seq, eut) for p in eps)
+        if utilities := _instance_utilities(pattern, seq, eut):
+            total += max(utilities.values())
     return total
 
 
@@ -228,6 +281,15 @@ def contains(pattern: Pattern, seq: QSequence) -> bool:
 def pattern_length(pattern: Pattern) -> int:
     """Number of items, counted with multiplicity across itemsets."""
     return sum(len(itemset) for itemset in pattern)
+
+
+def check_length_cap(cap: int | None, name: str) -> None:
+    """Refuse a cap on pattern length (items per pattern) that is neither None
+    nor an int of at least 1; a bool is refused too."""
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+        raise TypeError(f"{name} must be an int, not {type(cap).__name__}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"{name} must be >= 1, got {cap}")
 
 
 def check_pattern(pattern: Pattern) -> None:

@@ -4,6 +4,9 @@ Database file, one sequence per line; itemsets end with -1, lines with -2:
 
     b:2 f:4 -1 a:2 e:2 -1 c:2 e:1 -1 -2
 
+A parsed line is one flat QSequence that mirrors its tokens: a QItem for
+each q-item and a None for each -1.
+
 External-utility file, one item per line:
 
     b 1
@@ -30,7 +33,6 @@ from dataclasses import dataclass, fields
 from .core import (
     ExternalUtilityTable,
     QItem,
-    QItemset,
     QSequence,
     QSequenceDatabase,
     ResultSet,
@@ -113,6 +115,8 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
     """Parse a database file against its external-utility file.
 
     Each distinct q-item token is read once: equal tokens share one QItem.
+    Each line becomes one flat QSequence: every token's QItem, and a None
+    for each -1.
     """
     names, eut = parse_utility_table(eut_text)
     ids = {name: i for i, name in enumerate(names)}
@@ -122,25 +126,23 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
         tokens = line.split()
         if not tokens:
             continue
-        itemsets: list[QItemset] = []
-        current: list[QItem] = []
-        last = -1  # item id of current[-1]; ids start at 0
+        flat: list[QItem | None] = []
+        last = -1  # id of the open itemset's last item, -1 before its first; ids start at 0
         for k, token in enumerate(tokens):
             qitem = qitems.get(token)
             if qitem is None:
                 if token == "-2":
-                    if current:
+                    if last >= 0:
                         raise ParseError("itemset not closed before -2", lineno, line, k)
-                    if not itemsets:
+                    if not flat:
                         raise ParseError("empty sequence", lineno, line, k)
                     if k + 1 < len(tokens):
                         raise ParseError("content after end of sequence", lineno, line, k + 1)
                     continue
                 if token == "-1":
-                    if not current:
+                    if last < 0:
                         raise ParseError("empty itemset", lineno, line, k)
-                    itemsets.append(tuple(current))
-                    current = []
+                    flat.append(None)
                     last = -1
                     continue
                 name, sep, quantity_text = token.partition(":")
@@ -163,10 +165,10 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
                     raise ParseError(f"duplicate item {names[last]!r} in itemset", lineno, line, k)
                 raise ParseError("items out of ascending id order", lineno, line, k)
             last = qitem.item
-            current.append(qitem)
+            flat.append(qitem)
         if tokens[-1] != "-2":
             raise ParseError("sequence not terminated by -2", lineno, line, len(tokens))
-        sequences.append(QSequence(tuple(itemsets)))
+        sequences.append(QSequence.from_qitems(tuple(flat)))
     return QSequenceDatabase(tuple(sequences), names), eut
 
 
@@ -177,10 +179,7 @@ def serialize_database(db: QSequenceDatabase, eut: ExternalUtilityTable) -> tupl
     eut_lines = [f"{name} {weight}" for name, weight in zip(db.names, eut.weights)]
     db_lines = []
     for seq in db.sequences:
-        parts = []
-        for itemset in seq.itemsets:
-            parts.extend(f"{db.names[q.item]}:{q.quantity}" for q in itemset)
-            parts.append("-1")
+        parts = ["-1" if q is None else f"{db.names[q.item]}:{q.quantity}" for q in seq.qitems]
         parts.append("-2")
         db_lines.append(" ".join(parts))
     return "".join(line + "\n" for line in db_lines), "".join(line + "\n" for line in eut_lines)
@@ -228,13 +227,14 @@ def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, Exte
     shared: dict[QItem, QItem] = {}  # one object per (item, quantity), as the parser keeps
     sequences = []
     for _ in range(params.sequence_count):
-        itemsets = []
+        qitems: list[QItem | None] = []
         for _ in range(rng.randint(1, params.max_itemsets_per_seq)):
             size = rng.randint(1, top_size)
             members = sorted(rng.sample(range(params.distinct_items), size))
             itemset = (QItem(i, rng.randint(1, params.max_quantity)) for i in members)
-            itemsets.append(tuple(shared.setdefault(q, q) for q in itemset))
-        sequences.append(QSequence(tuple(itemsets)))
+            qitems.extend(shared.setdefault(q, q) for q in itemset)
+            qitems.append(None)
+        sequences.append(QSequence.from_qitems(tuple(qitems)))
     return QSequenceDatabase(tuple(sequences), names), ExternalUtilityTable(weights)
 
 
@@ -245,25 +245,26 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
         if weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
     for sid, seq in enumerate(db.sequences):
-        if not seq.itemsets:
+        if not seq.qitems:
             problems.append(f"sequence {sid}: empty sequence")
-        for pos, itemset in enumerate(seq.itemsets, start=1):
-            if not itemset:
-                problems.append(f"sequence {sid}, position {pos}: empty itemset")
-            last = -1
-            for qitem in itemset:
-                if qitem.item <= last:
-                    problems.append(
-                        f"sequence {sid}, position {pos}: items not strictly ascending"
-                    )
-                last = qitem.item
-                if qitem.quantity < 1:
-                    problems.append(
-                        f"sequence {sid}, position {pos}: quantity must be >= 1"
-                    )
-                if qitem.item < 0 or qitem.item >= len(eut.weights):
-                    problems.append(
-                        f"sequence {sid}, position {pos}: "
-                        f"missing external utility for item {qitem.item}"
-                    )
+        # last is -1 at the start of each itemset, as it is the id the first
+        # item must exceed; empty says whether the itemset has an item yet.
+        pos, last, empty = 1, -1, True
+        for qitem in seq.qitems:
+            if qitem is None:
+                if empty:
+                    problems.append(f"sequence {sid}, position {pos}: empty itemset")
+                pos, last, empty = pos + 1, -1, True
+                continue
+            item, quantity = qitem
+            empty = False
+            if item <= last:
+                problems.append(f"sequence {sid}, position {pos}: items not strictly ascending")
+            last = item
+            if quantity < 1:
+                problems.append(f"sequence {sid}, position {pos}: quantity must be >= 1")
+            if item < 0 or item >= len(eut.weights):
+                problems.append(
+                    f"sequence {sid}, position {pos}: missing external utility for item {item}"
+                )
     return problems

@@ -73,21 +73,25 @@ def build_sil(
             left = 0
             entries: list[SILEntry] = []
             # after[k]: how many entries sit at position n + 1 - k or later.
-            after = [0]
-            rests = [0, 0]
-            for itemset in reversed(seq.itemsets):
-                for qitem in reversed(itemset):
-                    if qitem[0] not in deleted:
-                        entry = entry_of.get(qitem)
-                        if entry is None:
-                            entry = entry_of[qitem] = (qitem[0], qitem[1] * weight_of[qitem[0]])
-                        entries.append(entry)
-                        left += entry[1]
-                after.append(len(entries))
-                rests.append(left)
+            # Read backwards, the None that closes itemset p comes just
+            # before its items, so it records the counts from p + 1 on.
+            after: list[int] = []
+            rests = [0]
+            for qitem in reversed(seq.qitems):
+                if qitem is None:
+                    after.append(len(entries))
+                    rests.append(left)
+                elif qitem[0] not in deleted:
+                    entry = entry_of.get(qitem)
+                    if entry is None:
+                        entry = entry_of[qitem] = (qitem[0], qitem[1] * weight_of[qitem[0]])
+                    entries.append(entry)
+                    left += entry[1]
+            after.append(len(entries))
+            rests.append(left)
             if entries:
                 entries.reverse()
-                end = len(seq.itemsets) + 3 + len(entries)
+                end = len(after) + 2 + len(entries)
                 starts = [end - count for count in reversed(after)]
                 sils[sid] = (starts[0], *starts, end, *entries, *rests)
     except KeyError as e:

@@ -27,6 +27,7 @@ from .core import (
     Pattern,
     QSequenceDatabase,
     ResultSet,
+    check_length_cap,
     collector_paused,
     db_utility,
     pattern_length,
@@ -60,11 +61,7 @@ class MiningConfig:
     def __post_init__(self) -> None:
         # Refuse bad text before any input is read; mine() parses it again.
         Threshold.from_text(self.xi, 0)
-        cap = self.max_pattern_length
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
-            raise TypeError(f"max_pattern_length must be an int, not {type(cap).__name__}")
-        if cap is not None and cap < 1:
-            raise ValueError(f"max_pattern_length must be >= 1, got {cap}")
+        check_length_cap(self.max_pattern_length, "max_pattern_length")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     QItemset,
     QSequenceDatabase,
     ResultSet,
+    check_length_cap,
     db_utility,
     sort_results,
 )
@@ -86,8 +87,10 @@ def enumerate_patterns(
     """Utility of every contiguous pattern with at most max_len items.
 
     Per sequence the best (maximum) occurrence utility is kept, then summed
-    across sequences, mirroring the pattern-utility definition.
+    across sequences, mirroring the pattern-utility definition.  max_len
+    takes what MiningConfig.max_pattern_length takes.
     """
+    check_length_cap(max_len, "max_len")
     if copied_itemsets(db, cap, max_len) > cap:
         raise UniverseTooLargeError(f"enumeration would copy more itemsets than the cap of {cap}")
     universe: dict[Pattern, int] = {}

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A, B, C, E, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, q_databases
-from hucsp.core import QItem, QSequence, QSequenceDatabase, db_utility
+import hucsp
+from conftest import (
+    A,
+    B,
+    C,
+    E,
+    F,
+    RUNNING_DB_TEXT,
+    RUNNING_EUT_TEXT,
+    databases_where_guip_leaves_a_gap,
+    q_databases,
+)
+from hucsp.core import ExternalUtilityTable, QItem, QSequence, QSequenceDatabase, db_utility
 from hucsp.dataio import (
     GeneratorParams,
     ParseError,
@@ -170,11 +184,11 @@ class TestSerializeDatabase:
         with pytest.raises(ValueError, match="names and weights must be the same length"):
             serialize_database(db, parse_utility_table("a 1\n")[1])
 
-    @given(q_databases())
+    @given(st.one_of(q_databases(), databases_where_guip_leaves_a_gap()))
     def test_round_trips_random_databases(self, dbeut):
-        db, eut = dbeut
-        db_text, eut_text = serialize_database(db, eut)
-        assert parse_database(db_text, eut_text) == (db, eut)
+        texts = serialize_database(*dbeut)
+        assert parse_database(*texts) == dbeut
+        assert serialize_database(*parse_database(*texts)) == texts
 
 
 class TestSerializeResults:
@@ -425,3 +439,127 @@ class TestParserFuzz:
                 parse_database("".join(text), RUNNING_EUT_TEXT)
             except ParseError:
                 pass  # rejection with a located error is the expected outcome
+
+
+def _nested_validate(db, eut):
+    """validate as it read the nested form, one loop per itemset: the reference for the flat walk."""
+    problems = []
+    for i, weight in enumerate(eut.weights):
+        if weight < 1:
+            problems.append(f"item {i}: external utility must be >= 1, got {weight}")
+    for sid, seq in enumerate(db.sequences):
+        if not seq.itemsets:
+            problems.append(f"sequence {sid}: empty sequence")
+        for pos, itemset in enumerate(seq.itemsets, start=1):
+            if not itemset:
+                problems.append(f"sequence {sid}, position {pos}: empty itemset")
+            last = -1
+            for qitem in itemset:
+                if qitem.item <= last:
+                    problems.append(f"sequence {sid}, position {pos}: items not strictly ascending")
+                last = qitem.item
+                if qitem.quantity < 1:
+                    problems.append(f"sequence {sid}, position {pos}: quantity must be >= 1")
+                if qitem.item < 0 or qitem.item >= len(eut.weights):
+                    problems.append(
+                        f"sequence {sid}, position {pos}: missing external utility for item {qitem.item}"
+                    )
+    return problems
+
+
+# Databases that break validate's rules: empty itemsets and sequences,
+# negative and unknown ids, ids out of order or repeated, zero quantities
+# and weights.
+_RAW_SEQUENCES = st.lists(
+    st.lists(st.builds(QItem, st.integers(-2, 4), st.integers(0, 2)), max_size=3), max_size=4
+).map(QSequence)
+_RAW_DATABASES = st.tuples(
+    st.lists(_RAW_SEQUENCES, min_size=1, max_size=4).map(
+        lambda seqs: QSequenceDatabase(tuple(seqs), ("a", "b", "c"))
+    ),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+        lambda weights: ExternalUtilityTable(tuple(weights))
+    ),
+)
+_VALID_DATABASES = st.one_of(q_databases(), databases_where_guip_leaves_a_gap())
+
+
+class TestFlatSequences:
+    """A QSequence is one flat tuple of q-items, a None closing each itemset."""
+
+    @given(st.one_of(_VALID_DATABASES, _RAW_DATABASES))
+    def test_nested_form_round_trips(self, dbeut):
+        db, _ = dbeut
+        for seq in db.sequences:
+            itemsets = seq.itemsets
+            assert QSequence(itemsets) == seq and hash(QSequence(itemsets)) == hash(seq)
+            assert QSequence.from_qitems(seq.qitems) == seq
+            assert seq.qitems.count(None) == len(itemsets)
+            assert list(seq.iter_slots()) == [
+                (pos, q) for pos, itemset in enumerate(itemsets, start=1) for q in itemset
+            ]
+
+    @given(st.one_of(_VALID_DATABASES, _RAW_DATABASES))
+    def test_validate_agrees_with_the_nested_walk(self, dbeut):
+        assert validate(*dbeut) == _nested_validate(*dbeut)
+
+    def test_validate_on_each_fault(self):
+        eut = ExternalUtilityTable((1, 1, 1))
+        db = QSequenceDatabase(
+            (
+                QSequence(((QItem(0, 1),), (), (QItem(1, 1),))),
+                QSequence(()),
+                # A first item of -1 is an item, not "no item yet".
+                QSequence(((QItem(-1, 1),), (QItem(-2, 1), QItem(0, 1)))),
+            ),
+            ("a", "b", "c"),
+        )
+        expected = [
+            "sequence 0, position 2: empty itemset",
+            "sequence 1: empty sequence",
+            "sequence 2, position 1: items not strictly ascending",
+            "sequence 2, position 1: missing external utility for item -1",
+            "sequence 2, position 2: items not strictly ascending",
+            "sequence 2, position 2: missing external utility for item -2",
+        ]
+        assert validate(db, eut) == _nested_validate(db, eut) == expected
+
+    def test_the_mine_path_never_rebuilds_itemsets(self):
+        package = Path(hucsp.__file__).parent
+        walks = {
+            "dataio.py": "validate",
+            "core.py": "db_utility",
+            "bounds.py": "swu_per_item",
+            "indexes.py": "build_sil",
+        }
+        reads = []
+        for module, name in walks.items():
+            tree = ast.parse((package / module).read_text("utf-8"))
+            (function,) = [
+                node
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name
+            ]
+            reads += [
+                (name, node.lineno)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Attribute) and node.attr == "itemsets"
+            ]
+        assert reads == []
+
+    def test_parsed_size_per_qitem(self):
+        # Flat, a parsed q-item costs about 21 B here (its slot and its
+        # share of the tuple and QSequence); one tuple per itemset made it
+        # about 37 B.
+        db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=5))
+        count = sum(1 for seq in db.sequences for _ in seq.iter_slots())
+        texts = serialize_database(db, eut)
+        del db, eut
+        tracemalloc.start()
+        try:
+            parsed = parse_database(*texts)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed[0].sequences) == 2000
+        assert size / count < 24

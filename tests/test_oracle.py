@@ -43,6 +43,21 @@ class TestEnumerate:
         singles = enumerate_patterns(db, eut, max_len=1)
         assert set(singles) == {((i,),) for i in (A, B, C, D, E, F)}
 
+    @pytest.mark.parametrize(
+        "max_len, error, message",
+        [
+            (True, TypeError, "max_len must be an int, not bool"),
+            (2.5, TypeError, "max_len must be an int, not float"),
+            (0, ValueError, "max_len must be >= 1, got 0"),
+        ],
+    )
+    def test_max_len_is_checked_as_the_miner_checks_it(self, running, max_len, error, message):
+        db, eut = running
+        with pytest.raises(error, match=f"^{message}$"):
+            oracle_mine(db, eut, "0", max_len=max_len)
+        with pytest.raises(error, match=f"^{message}$"):
+            enumerate_patterns(db, eut, max_len=max_len)
+
 
 class TestWorkGuard:
     def test_estimate_matches_literal_enumeration(self, running):
