@@ -90,7 +90,7 @@ def swu_per_item(
         for seq in db.sequences:
             total = 0
             items = set()
-            for item, quantity in filter(None, seq.qitems):
+            for item, quantity in filter(None, seq):
                 if item not in deleted:
                     total += quantity * weight_of[item]
                     items.add(item)

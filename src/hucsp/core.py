@@ -6,11 +6,11 @@ shared across the database.  A pattern matches a q-sequence only where its
 itemsets are subsets of *consecutive* host itemsets, and the utility of the
 pattern in that sequence is the maximum over all such placements.
 
-A QSequence stores its itemsets flat: one tuple of its q-items in reading
-order, where None closes each itemset, as -1 does in the database file.
-The mining path walks that tuple alone.  The nested form, one tuple per
-itemset, is rebuilt on each request; the reference calculus below reads it
-at most once per call.
+A QSequence is a tuple of its q-items in reading order, where None closes
+each itemset, as -1 does in the database file.  The mining path walks that
+tuple alone.  The nested form, one tuple per itemset, is what from_itemsets
+takes and what itemsets rebuilds on each request; the reference calculus
+below reads it at most once per call.
 
 Positions are 1-based throughout: itemset k of a sequence sits at position
 k.  Mining never rewrites a database: the items GUIP deletes are left out of
@@ -49,40 +49,28 @@ class QItem(NamedTuple):
 QItemset = tuple[QItem, ...]
 
 
-@dataclass(frozen=True, init=False)
-class QSequence:
-    """One q-sequence, flat: its q-items in reading order, a None closing each
-    itemset.  QSequence(itemsets) flattens the nested form; from_qitems
-    takes the flat tuple as it is."""
+class QSequence(tuple):
+    """One q-sequence, flat: a tuple of its q-items in reading order, a None
+    closing each itemset.  QSequence(flat) takes that form as it is;
+    from_itemsets flattens the nested one."""
 
-    # Declared by hand: dataclass(slots=True) makes a second class, whose
-    # frozen __setattr__ fails with TypeError on a name that is not a field.
-    __slots__ = ("qitems",)
-    qitems: tuple[QItem | None, ...]
-
-    def __init__(self, itemsets: Iterable[Iterable[QItem]]) -> None:
-        object.__setattr__(self, "qitems", tuple(q for s in itemsets for q in (*s, None)))
+    __slots__ = ()
 
     @classmethod
-    def from_qitems(cls, qitems: tuple[QItem | None, ...]) -> QSequence:
-        """The sequence whose flat tuple is qitems: q-items with a None closing each itemset."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "qitems", qitems)
-        return seq
-
-    def __reduce__(self):
-        return QSequence.from_qitems, (self.qitems,)
+    def from_itemsets(cls, itemsets: Iterable[Iterable[QItem]]) -> QSequence:
+        """The sequence of the nested form: one iterable of q-items per itemset."""
+        return cls(q for s in itemsets for q in (*s, None))
 
     @property
     def itemsets(self) -> tuple[QItemset, ...]:
         """One tuple of q-items per itemset, rebuilt on every access."""
-        ends = [k for k, qitem in enumerate(self.qitems) if qitem is None]
-        return tuple(self.qitems[start + 1 : end] for start, end in zip([-1, *ends], ends))
+        ends = [k for k, qitem in enumerate(self) if qitem is None]
+        return tuple(self[start + 1 : end] for start, end in zip([-1, *ends], ends))
 
     def iter_slots(self) -> Iterator[tuple[int, QItem]]:
         """Yield (position, q-item) pairs in canonical reading order."""
         pos = 1
-        for qitem in self.qitems:
+        for qitem in self:
             if qitem is None:
                 pos += 1
             else:
@@ -158,7 +146,7 @@ def collector_paused() -> Iterator[None]:
 def item_utility(item: Item, pos: int, seq: QSequence, eut: ExternalUtilityTable) -> int:
     """Utility of one q-item occurrence: quantity times external utility."""
     at = 1
-    for qitem in seq.qitems:
+    for qitem in seq:
         if qitem is None:
             at += 1
         elif at == pos and qitem.item == item:
@@ -184,7 +172,7 @@ def db_utility(db: QSequenceDatabase, eut: ExternalUtilityTable) -> int:
     total = 0
     try:
         for seq in db.sequences:
-            for item, quantity in filter(None, seq.qitems):
+            for item, quantity in filter(None, seq):
                 total += quantity * weight_of[item]
     except KeyError as e:
         raise missing_weight(e.args[0]) from None

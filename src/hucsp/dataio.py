@@ -168,7 +168,7 @@ def parse_database(db_text: str, eut_text: str) -> tuple[QSequenceDatabase, Exte
             flat.append(qitem)
         if tokens[-1] != "-2":
             raise ParseError("sequence not terminated by -2", lineno, line, len(tokens))
-        sequences.append(QSequence.from_qitems(tuple(flat)))
+        sequences.append(QSequence(flat))
     return QSequenceDatabase(tuple(sequences), names), eut
 
 
@@ -179,7 +179,7 @@ def serialize_database(db: QSequenceDatabase, eut: ExternalUtilityTable) -> tupl
     eut_lines = [f"{name} {weight}" for name, weight in zip(db.names, eut.weights)]
     db_lines = []
     for seq in db.sequences:
-        parts = ["-1" if q is None else f"{db.names[q.item]}:{q.quantity}" for q in seq.qitems]
+        parts = ["-1" if q is None else f"{db.names[q.item]}:{q.quantity}" for q in seq]
         parts.append("-2")
         db_lines.append(" ".join(parts))
     return "".join(line + "\n" for line in db_lines), "".join(line + "\n" for line in eut_lines)
@@ -234,7 +234,7 @@ def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, Exte
             itemset = (QItem(i, rng.randint(1, params.max_quantity)) for i in members)
             qitems.extend(shared.setdefault(q, q) for q in itemset)
             qitems.append(None)
-        sequences.append(QSequence.from_qitems(tuple(qitems)))
+        sequences.append(QSequence(qitems))
     return QSequenceDatabase(tuple(sequences), names), ExternalUtilityTable(weights)
 
 
@@ -245,20 +245,18 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
         if weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
     for sid, seq in enumerate(db.sequences):
-        if not seq.qitems:
+        if not seq:
             problems.append(f"sequence {sid}: empty sequence")
-        # last is -1 at the start of each itemset, as it is the id the first
-        # item must exceed; empty says whether the itemset has an item yet.
-        pos, last, empty = 1, -1, True
-        for qitem in seq.qitems:
+        # last is the id of the open itemset's last item, None before its first.
+        pos, last = 1, None
+        for qitem in seq:
             if qitem is None:
-                if empty:
+                if last is None:
                     problems.append(f"sequence {sid}, position {pos}: empty itemset")
-                pos, last, empty = pos + 1, -1, True
+                pos, last = pos + 1, None
                 continue
             item, quantity = qitem
-            empty = False
-            if item <= last:
+            if last is not None and item <= last:
                 problems.append(f"sequence {sid}, position {pos}: items not strictly ascending")
             last = item
             if quantity < 1:

@@ -146,7 +146,7 @@ def q_databases(draw):
     sequences = []
     for _ in range(draw(st.integers(1, 4))):
         itemsets = tuple(_hyp_itemset(draw, n_items, 3) for _ in range(draw(st.integers(1, 4))))
-        sequences.append(QSequence(itemsets))
+        sequences.append(QSequence.from_itemsets(itemsets))
     return QSequenceDatabase(tuple(sequences), names), eut
 
 
@@ -171,7 +171,7 @@ def wide_databases(draw):
             width = draw(st.integers(5, min(8, n_items, budget)))
             budget -= width
             itemsets.append(_hyp_itemset(draw, n_items, width, min_size=width))
-        sequences.append(QSequence(tuple(itemsets)))
+        sequences.append(QSequence.from_itemsets(tuple(itemsets)))
     return QSequenceDatabase(tuple(sequences), names), eut
 
 
@@ -191,11 +191,11 @@ def databases_where_guip_leaves_a_gap(draw, databases=q_databases()):
     z = len(eut.weights)
     seq = draw(st.sampled_from(db.sequences))
     at = draw(st.integers(1, max(1, len(seq.itemsets) - 1)))
-    gapped = QSequence((*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
+    gapped = QSequence.from_itemsets((*seq.itemsets[:at], (QItem(z, 1),), *seq.itemsets[at:]))
     scale = 10 * (db_utility(db, eut) + 2)
     heavy = tuple(tuple(QItem(q.item, q.quantity * scale) for q in s) for s in seq.itemsets)
     sequences = tuple(gapped if s is seq else s for s in db.sequences)
     return (
-        QSequenceDatabase((*sequences, QSequence(heavy)), (*db.names, "z")),
+        QSequenceDatabase((*sequences, QSequence.from_itemsets(heavy)), (*db.names, "z")),
         ExternalUtilityTable((*eut.weights, 1)),
     )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
+import pickle
 import sys
 import threading
 
@@ -88,7 +90,7 @@ class TestSequenceUtility:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(((QItem(0, 1), QItem(item, 1)),))
+        seq = QSequence.from_itemsets(((QItem(0, 1), QItem(item, 1)),))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             db_utility(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 
@@ -183,7 +185,7 @@ class TestRemainingUtility:
 class TestContains:
     def test_contiguity(self):
         # host <{c},{ab},{aef}>: <{a},{af}> fits consecutively, <{e},{ab}> cannot
-        host = QSequence(
+        host = QSequence.from_itemsets(
             (
                 (QItem(C, 1),),
                 (QItem(A, 1), QItem(B, 1)),
@@ -206,9 +208,20 @@ class TestQSequenceShape:
         assert not hasattr(seq, "__dict__")
         with pytest.raises(AttributeError):
             seq.itemsets = ()
-        twin = QSequence(tuple(tuple(itemset) for itemset in seq.itemsets))
+        twin = QSequence.from_itemsets(tuple(tuple(itemset) for itemset in seq.itemsets))
         assert twin == seq and hash(twin) == hash(seq)
         assert len({seq, twin, db.sequences[1]}) == 2
+
+    def test_pickles_and_copies_keep_type_and_value(self, running):
+        db, _ = running
+        built = QSequence.from_itemsets(((QItem(A, 2),), (QItem(B, 1), QItem(C, 3))))
+        for seq in (*db.sequences, built, QSequence.from_itemsets(())):
+            protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+            copies = [pickle.loads(pickle.dumps(seq, p)) for p in protocols]
+            copies += [copy.copy(seq), copy.deepcopy(seq)]
+            for twin in copies:
+                assert type(twin) is QSequence and twin == seq
+                assert twin.itemsets == seq.itemsets
 
 
 class TestCanonicalOrder:

@@ -268,7 +268,7 @@ class TestValidate:
         assert validate(db, eut) == []
 
     def _db(self, *itemsets):
-        return QSequenceDatabase((QSequence(itemsets),), ("a", "b", "c"))
+        return QSequenceDatabase((QSequence.from_itemsets(itemsets),), ("a", "b", "c"))
 
     def test_reports_violations(self):
         _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
@@ -291,7 +291,8 @@ class TestValidate:
     def test_reports_an_empty_sequence(self):
         # The parser refuses the line "-2" that serialize_database would write for it.
         _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
-        db = QSequenceDatabase((QSequence(((QItem(0, 1),),)), QSequence(())), ("a", "b", "c"))
+        sequences = (QSequence.from_itemsets(((QItem(0, 1),),)), QSequence.from_itemsets(()))
+        db = QSequenceDatabase(sequences, ("a", "b", "c"))
         assert validate(db, eut) == ["sequence 1: empty sequence"]
 
     def test_reports_bad_weights(self):
@@ -453,9 +454,9 @@ def _nested_validate(db, eut):
         for pos, itemset in enumerate(seq.itemsets, start=1):
             if not itemset:
                 problems.append(f"sequence {sid}, position {pos}: empty itemset")
-            last = -1
+            last = None
             for qitem in itemset:
-                if qitem.item <= last:
+                if last is not None and qitem.item <= last:
                     problems.append(f"sequence {sid}, position {pos}: items not strictly ascending")
                 last = qitem.item
                 if qitem.quantity < 1:
@@ -472,7 +473,7 @@ def _nested_validate(db, eut):
 # and weights.
 _RAW_SEQUENCES = st.lists(
     st.lists(st.builds(QItem, st.integers(-2, 4), st.integers(0, 2)), max_size=3), max_size=4
-).map(QSequence)
+).map(QSequence.from_itemsets)
 _RAW_DATABASES = st.tuples(
     st.lists(_RAW_SEQUENCES, min_size=1, max_size=4).map(
         lambda seqs: QSequenceDatabase(tuple(seqs), ("a", "b", "c"))
@@ -492,9 +493,10 @@ class TestFlatSequences:
         db, _ = dbeut
         for seq in db.sequences:
             itemsets = seq.itemsets
-            assert QSequence(itemsets) == seq and hash(QSequence(itemsets)) == hash(seq)
-            assert QSequence.from_qitems(seq.qitems) == seq
-            assert seq.qitems.count(None) == len(itemsets)
+            twin = QSequence.from_itemsets(itemsets)
+            assert twin == seq and hash(twin) == hash(seq)
+            assert QSequence(tuple(seq)) == seq and type(seq) is QSequence
+            assert seq.count(None) == len(itemsets)
             assert list(seq.iter_slots()) == [
                 (pos, q) for pos, itemset in enumerate(itemsets, start=1) for q in itemset
             ]
@@ -507,19 +509,18 @@ class TestFlatSequences:
         eut = ExternalUtilityTable((1, 1, 1))
         db = QSequenceDatabase(
             (
-                QSequence(((QItem(0, 1),), (), (QItem(1, 1),))),
-                QSequence(()),
-                # A first item of -1 is an item, not "no item yet".
-                QSequence(((QItem(-1, 1),), (QItem(-2, 1), QItem(0, 1)))),
+                QSequence.from_itemsets(((QItem(0, 1),), (), (QItem(1, 1),))),
+                QSequence.from_itemsets(()),
+                # A first item of -1 is an item, not "no item yet", and no
+                # first item is out of order.
+                QSequence.from_itemsets(((QItem(-1, 1),), (QItem(-2, 1), QItem(0, 1)))),
             ),
             ("a", "b", "c"),
         )
         expected = [
             "sequence 0, position 2: empty itemset",
             "sequence 1: empty sequence",
-            "sequence 2, position 1: items not strictly ascending",
             "sequence 2, position 1: missing external utility for item -1",
-            "sequence 2, position 2: items not strictly ascending",
             "sequence 2, position 2: missing external utility for item -2",
         ]
         assert validate(db, eut) == _nested_validate(db, eut) == expected
@@ -540,12 +541,42 @@ class TestFlatSequences:
                 for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == name
             ]
+            # The names each walk binds to a sequence of db.sequences.
+            seqs = {
+                (node.target.elts[-1] if isinstance(node.target, ast.Tuple) else node.target).id
+                for node in ast.walk(function)
+                if isinstance(node, ast.For)
+                and any(isinstance(n, ast.Attribute) and n.attr == "sequences" for n in ast.walk(node.iter))
+            }
+            assert seqs, name
             reads += [
                 (name, node.lineno)
                 for node in ast.walk(function)
                 if isinstance(node, ast.Attribute) and node.attr == "itemsets"
             ]
+            # reversed() over a tuple subclass is several times slower than over
+            # a tuple; a reverse slice walks at tuple speed.
+            reads += [
+                (name, node.lineno)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "reversed"
+                and any(isinstance(n, ast.Name) and n.id in seqs for a in node.args for n in ast.walk(a))
+            ]
         assert reads == []
+
+    def test_a_parsed_sequence_holds_its_qitems_itself(self):
+        # sys.getsizeof counts the same on every run, where tracemalloc's
+        # reading depends on what CPython's tuple free lists held before.
+        db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=5))
+        sequences = parse_database(*serialize_database(db, eut))[0].sequences
+        assert all(isinstance(seq, tuple) for seq in sequences)
+        assert all(sys.getsizeof(seq) == sys.getsizeof(tuple(seq)) for seq in sequences)
+        qitems = [q for seq in sequences for q in seq if q is not None]
+        distinct = {id(q): q for q in qitems}.values()
+        size = sys.getsizeof(sequences) + sum(map(sys.getsizeof, (*sequences, *distinct)))
+        assert size / len(qitems) < 18  # 16.8 B; a wrapper object per sequence made it 20.4
 
     def test_parsed_size_per_qitem(self):
         # Flat, a parsed q-item costs about 21 B here (its slot and its

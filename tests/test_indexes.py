@@ -212,7 +212,7 @@ class TestSIL:
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
-        seq = QSequence(((QItem(0, 1), QItem(item, 1)),))
+        seq = QSequence.from_itemsets(((QItem(0, 1), QItem(item, 1)),))
         with pytest.raises(AbsentItemError, match=f"item {item} has no external utility"):
             build_sil(QSequenceDatabase((seq,), ("a",)), ExternalUtilityTable((3,)))
 

@@ -60,7 +60,7 @@ def huge_quantity_databases(draw):
         return QItem(qitem.item, qitem.quantity * 10**30 + draw(st.integers(0, 10**30)))
 
     sequences = tuple(
-        QSequence(tuple(tuple(map(huge, s)) for s in seq.itemsets))
+        QSequence.from_itemsets(tuple(tuple(map(huge, s)) for s in seq.itemsets))
         for seq in db.sequences
     )
     return QSequenceDatabase(sequences, db.names), eut
@@ -163,7 +163,7 @@ class TestValidationAndAsserts:
 
     def test_empty_sequence_is_refused(self, running):
         db, eut = running
-        with_empty = QSequenceDatabase((*db.sequences, QSequence(())), db.names)
+        with_empty = QSequenceDatabase((*db.sequences, QSequence.from_itemsets(())), db.names)
         with pytest.raises(ValueError, match=r"invalid database: sequence 5: empty sequence"):
             mine(with_empty, eut, MiningConfig(xi="0.25"))
 
@@ -294,10 +294,10 @@ class TestOracleEquivalence:
         first = ((QItem(a, 50),), (QItem(z, 1),), (QItem(b, 50),), (QItem(a, 10), QItem(b, 10)))
         db = QSequenceDatabase(
             (
-                QSequence(first),
-                QSequence(((QItem(a, 30), QItem(b, 30)),)),
-                QSequence(((QItem(c, 200),),)),
-                QSequence(((QItem(a, 40),), (QItem(b, 40),))),
+                QSequence.from_itemsets(first),
+                QSequence.from_itemsets(((QItem(a, 30), QItem(b, 30)),)),
+                QSequence.from_itemsets(((QItem(c, 200),),)),
+                QSequence.from_itemsets(((QItem(a, 40),), (QItem(b, 40),))),
             ),
             ("a", "b", "z", "c"),
         )
