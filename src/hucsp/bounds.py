@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Mapping, NamedTuple
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .core import ExternalUtilityTable, Item, Pattern, QSequenceDatabase, missing_weight, quoted
 from .core import _instance_utilities, check_pattern, remaining_utility_after
@@ -42,20 +41,35 @@ from .core import _instance_utilities, check_pattern, remaining_utility_after
 _XI_TEXT = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+|[0-9]+/[0-9]+")
 
 
-@dataclass(frozen=True)
-class Threshold:
-    """Relative threshold xi and the absolute minimum utility it induces."""
-
+class _ThresholdFields(NamedTuple):
     xi: Fraction
     min_utility: Fraction
     # For an int u, u >= min_utility exactly when u >= ceil(min_utility).
-    least_admitted: int = field(init=False, repr=False, compare=False)
+    least_admitted: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "least_admitted", math.ceil(self.min_utility))
+
+class Threshold(_ThresholdFields):
+    """Relative threshold xi and the absolute minimum utility it induces.
+
+    Threshold(xi, min_utility) derives least_admitted; so do its copies,
+    pickles and _replace, which all build through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, xi: Fraction, min_utility: Fraction) -> Threshold:
+        return super().__new__(cls, xi, min_utility, math.ceil(min_utility))
+
+    def __getnewargs__(self) -> tuple[Fraction, Fraction]:
+        return self.xi, self.min_utility
 
     @classmethod
-    def from_text(cls, xi_text: str, total_utility: int) -> "Threshold":
+    def _make(cls, fields: Iterable) -> Threshold:
+        xi, min_utility, _ = fields
+        return cls(xi, min_utility)
+
+    @classmethod
+    def from_text(cls, xi_text: str, total_utility: int) -> Threshold:
         if not isinstance(xi_text, str):
             raise TypeError(f"threshold must be text, not {type(xi_text).__name__}")
         text = xi_text.strip()

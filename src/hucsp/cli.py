@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from .core import collector_paused
 from .dataio import (
@@ -172,7 +171,7 @@ def _run_report(
         "command": command,
         "db": args.db,
         "eut": args.eut,
-        **asdict(config),
+        **config._asdict(),
         "out": getattr(args, "out", None),
         "result_count": result_count,
         "stats": stats.to_dict(),

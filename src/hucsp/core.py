@@ -25,7 +25,6 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 Item = int
@@ -77,16 +76,14 @@ class QSequence(tuple):
                 yield pos, qitem
 
 
-@dataclass(frozen=True)
-class QSequenceDatabase:
+class QSequenceDatabase(NamedTuple):
     """Sequences plus the item id -> display-name table; a sequence's sid is its index."""
 
     sequences: tuple[QSequence, ...]
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ExternalUtilityTable:
+class ExternalUtilityTable(NamedTuple):
     """Per-unit utilities, dense by item id."""
 
     weights: tuple[int, ...]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple
 
 from .core import (
     ExternalUtilityTable,
@@ -201,8 +201,7 @@ def serialize_results(results: ResultSet, names: tuple[str, ...]) -> str:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class _GeneratorFields(NamedTuple):
     sequence_count: int
     distinct_items: int = 100
     max_itemsets_per_seq: int = 8
@@ -211,10 +210,23 @@ class GeneratorParams:
     max_weight: int = 5
     seed: int = 1
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            if field.name != "seed" and getattr(self, field.name) < 1:
-                raise ValueError(f"{field.name} must be >= 1")
+
+class GeneratorParams(_GeneratorFields):
+    """The shape of a synthetic database, checked whenever one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GeneratorParams:
+        params = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(params._fields, params):
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        return params
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> GeneratorParams:
+        # _replace builds through here, so a replaced field is checked too.
+        return cls(*fields)
 
 
 def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, ExternalUtilityTable]:
@@ -265,4 +277,6 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
                 problems.append(
                     f"sequence {sid}, position {pos}: missing external utility for item {item}"
                 )
+        if last is not None:
+            problems.append(f"sequence {sid}, position {pos}: itemset not closed")
     return problems

@@ -3,7 +3,8 @@
 The SIL is a per-sequence mirror of the database: the utility of every
 q-item occurrence whose item GUIP did not delete, and the utility left from
 each position on.  A sequence of n itemsets has one SIL, a single tuple, and
-build_sil returns {sid: SIL}.  Slots 0 to n + 2 hold row start offsets
+build_sil returns a list of them indexed by sid, None where GUIP deleted
+every item of the sequence.  Slots 0 to n + 2 hold row start offsets
 (sil[0] = sil[1] = n + 3); the (item, utility) entries follow in reading
 order, one shared tuple per distinct pair, and end at sil[sil[0] - 1].  Row
 p is sil[sil[p]:sil[p + 1]], its items strictly ascending; an empty row is a
@@ -20,7 +21,7 @@ a flat tuple of its own in groups, its sid and then each instance's three
 ints, positions ascending.  No sid is in both fields.  Sequences follow no
 set order within a field; only IChain.lists sorts them by sid.  A
 single-item chain is built from its item's run of occurrences, int32
-(rank, slot) pairs, only when it is looked up.  Chains for extended
+(sid, slot) pairs, only when it is looked up.  Chains for extended
 patterns are built from the parent chain plus the SIL without touching the
 database again: one pass over a parent chain builds the chains of all
 requested siblings of one kind and their utilities, and one scan of it
@@ -32,7 +33,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -56,8 +56,8 @@ SIL = tuple[int | SILEntry, ...]
 
 def build_sil(
     db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item] = frozenset()
-) -> dict[int, SIL]:
-    """sid -> SIL of every sequence with a surviving q-item, in database order.
+) -> list[SIL | None]:
+    """The SIL of every sequence, sils[sid]; None where no q-item survives.
 
     Each sequence is walked once, backwards, skipping deleted items, so
     each position's rest is the running total of the surviving utilities
@@ -67,7 +67,7 @@ def build_sil(
     weight_of = dict(enumerate(eut.weights))
     # Keyed by value: equal q-items share an entry even if the database does not.
     entry_of: dict[QItem, SILEntry] = {}
-    sils: dict[int, SIL] = {}
+    sils: list[SIL | None] = [None] * len(db.sequences)
     try:
         for sid, seq in enumerate(db.sequences):
             left = 0
@@ -135,18 +135,32 @@ class InstanceList(NamedTuple):
 _new_list = partial(tuple.__new__, InstanceList)
 
 
-@dataclass(frozen=True)
 class IChain:
     """All instances of one pattern, flat (see the module docstring).
 
     singles: (sid, pos, slot, utility) for each sequence holding exactly one
     instance; groups: one (sid, pos, slot, utility, pos, slot, utility, ...)
-    per sequence holding two or more.
+    per sequence holding two or more.  Chains compare by these three fields.
     """
 
-    pattern: Pattern
-    singles: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
+    __slots__ = ("pattern", "singles", "groups", "__weakref__")
+
+    def __init__(
+        self, pattern: Pattern, singles: tuple[int, ...], groups: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.pattern = pattern
+        self.singles = singles
+        self.groups = groups
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IChain):
+            return NotImplemented
+        return (self.pattern, self.singles, self.groups) == (
+            other.pattern, other.singles, other.groups,
+        )
+
+    def __repr__(self) -> str:
+        return f"IChain(pattern={self.pattern!r}, singles={self.singles!r}, groups={self.groups!r})"
 
     @property
     def lists(self) -> tuple[InstanceList, ...]:
@@ -171,38 +185,35 @@ class IChain:
 class _SeedChains(Mapping[Item, IChain]):
     """Single-item chains, each built from its item's run when looked up.
 
-    A run holds every occurrence of one item as flat rank, slot pairs in
-    an int32 array, in rank and slot order.  Rank k names the k-th SIL;
-    chains take its sid from the keys of sils and so share those ints.
-    The position is the row whose start offsets bracket the slot, found by
-    bisection: row starts ascend, and a gap's empty row repeats the next
-    row's start, so the rightmost start at or below the slot is its row's.
+    A run holds every occurrence of one item as flat sid, slot pairs in
+    an int32 array, in sid and slot order.  The position is the row whose
+    start offsets bracket the slot, found by bisection: row starts ascend,
+    and a gap's empty row repeats the next row's start, so the rightmost
+    start at or below the slot is its row's.
     The utility is read from the SIL entry at the slot.  Nothing built is
     kept, so a caller that walks values() holds one chain at a time.
     """
 
-    __slots__ = ("_runs", "_sils", "_sids")
+    __slots__ = ("_runs", "_sils")
 
-    def __init__(self, runs: dict[Item, array], sils: Mapping[int, SIL]) -> None:
+    def __init__(self, runs: dict[Item, array], sils: Sequence[SIL | None]) -> None:
         self._runs = runs
         self._sils = sils
-        self._sids = tuple(sils)
 
     def __getitem__(self, item: Item) -> IChain:
         singles: list[int] = []
         groups: list[tuple[int, ...]] = []
         # The sequence being read: its sid, then each instance's three ints.
         found: list[int] = []
-        last, sils, sids = None, self._sils, self._sids
+        last, sils = None, self._sils
         values = iter(self._runs[item])
-        for rank, slot in zip(values, values):
-            if rank != last:
+        for sid, slot in zip(values, values):
+            if sid != last:
                 if len(found) == 4:
                     singles += found
                 elif found:
                     groups.append(tuple(found))
-                last = rank
-                sid = sids[rank]
+                last = sid
                 sil = sils[sid]
                 found = [sid]
             found += (bisect_right(sil, slot, 1, sil[0] - 1) - 1, slot, sil[slot][1])
@@ -219,22 +230,23 @@ class _SeedChains(Mapping[Item, IChain]):
         return len(self._runs)
 
 
-def build_initial_ichains(sils: Mapping[int, SIL]) -> Mapping[Item, IChain]:
+def build_initial_ichains(sils: Sequence[SIL | None]) -> Mapping[Item, IChain]:
     """IChains of every single-item pattern in the indexed database, in item order.
 
-    Each SIL's entries are walked once in slot order, so every run comes
-    out in rank and slot order, whatever order sils holds its sids in.
-    Each chain is built when it is looked up (see _SeedChains).
+    The SILs are walked in sid order, each one's entries in slot order, so
+    every run comes out in sid and slot order.  Each chain is built when it
+    is looked up (see _SeedChains).
     """
     runs: defaultdict[Item, array] = defaultdict(partial(array, "i"))
-    for rank, sil in enumerate(sils.values()):
-        for slot in range(sil[0], sil[sil[0] - 1]):
-            runs[sil[slot][0]].fromlist([rank, slot])
+    for sid, sil in enumerate(sils):
+        if sil is not None:
+            for slot in range(sil[0], sil[sil[0] - 1]):
+                runs[sil[slot][0]].fromlist([sid, slot])
     return _SeedChains({item: runs[item] for item in sorted(runs)}, sils)
 
 
 def extension_utilizations(
-    prefix: IChain, sils: Mapping[int, SIL]
+    prefix: IChain, sils: Sequence[SIL | None]
 ) -> tuple[dict[Item, int], dict[Item, int]]:
     """IEU of every item-extension and sequence-extension of the prefix.
 
@@ -287,7 +299,7 @@ def extension_utilizations(
 def _extend_ichains(
     prefix: IChain,
     items: Sequence[Item],
-    sils: Mapping[int, SIL],
+    sils: Sequence[SIL | None],
     step: int,
     grow: Callable[[Item], Pattern],
 ) -> list[tuple[IChain, int]]:
@@ -353,7 +365,7 @@ def _extend_ichains(
 
 
 def extend_ichain_i(
-    prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL]
+    prefix: IChain, items: Sequence[Item], sils: Sequence[SIL | None]
 ) -> list[tuple[IChain, int]]:
     """Chain and utility of each pattern with one of items appended to the last itemset.
 
@@ -367,7 +379,7 @@ def extend_ichain_i(
 
 
 def extend_ichain_s(
-    prefix: IChain, items: Sequence[Item], sils: Mapping[int, SIL]
+    prefix: IChain, items: Sequence[Item], sils: Sequence[SIL | None]
 ) -> list[tuple[IChain, int]]:
     """Chain and utility of each pattern with {item} appended as a new itemset.
 

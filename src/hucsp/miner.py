@@ -18,8 +18,7 @@ emitted utility-qualified patterns over candidates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import Threshold, guip_revise, luip_admits
 from .core import (
@@ -50,22 +49,33 @@ class BoundViolationError(AssertionError):
     """An upper-bound invariant failed at runtime (enabled by assert_bounds)."""
 
 
-@dataclass(frozen=True)
-class MiningConfig:
+class _MiningConfigFields(NamedTuple):
     xi: str  # decimal text, parsed exactly; 0 <= xi <= 1
     enable_guip: bool = True
     enable_luip: bool = True
     max_pattern_length: int | None = None
     assert_bounds: bool = False
 
-    def __post_init__(self) -> None:
+
+class MiningConfig(_MiningConfigFields):
+    """The settings of one mine() call, checked whenever one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MiningConfig:
+        config = super().__new__(cls, *args, **kwargs)
         # Refuse bad text before any input is read; mine() parses it again.
-        Threshold.from_text(self.xi, 0)
-        check_length_cap(self.max_pattern_length, "max_pattern_length")
+        Threshold.from_text(config.xi, 0)
+        check_length_cap(config.max_pattern_length, "max_pattern_length")
+        return config
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> MiningConfig:
+        # _replace builds through here, so a replaced field is checked too.
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class MiningStats:
+class MiningStats(NamedTuple):
     candidates: int
     hucsps: int
     guip_deleted_items: int
@@ -74,12 +84,12 @@ class MiningStats:
 
     def to_dict(self) -> dict:
         esr = None if self.candidates == 0 else effective_search_rate(self)
-        return {**asdict(self), "esr": esr}
+        return {**self._asdict(), "esr": esr}
 
 
 def recursive_search(
     seeds: Iterable[tuple[IChain, int]],
-    sils: dict[int, SIL],
+    sils: Sequence[SIL | None],
     threshold: Threshold,
     config: MiningConfig,
 ) -> tuple[dict[Pattern, int], int, int]:

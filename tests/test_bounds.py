@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -120,6 +122,18 @@ class TestThreshold:
         with pytest.raises(ValueError, match="invalid threshold"):
             Threshold.from_text(text, 106)
 
+    def test_is_immutable_and_derives_its_ceiling_in_every_copy(self):
+        t = Threshold.from_text("0.25", 106)
+        assert (t.xi, t.min_utility, t.least_admitted) == (Fraction(1, 4), Fraction(53, 2), 27)
+        with pytest.raises(AttributeError):
+            t.least_admitted = 0
+        with pytest.raises(AttributeError):
+            del t.xi
+        pickled = [pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (copy.copy(t), copy.deepcopy(t), *pickled):
+            assert twin == t and type(twin) is Threshold
+        assert t._replace(min_utility=Fraction(7, 2)).least_admitted == 4
+
 
 class TestSWU:
     def test_worked_values(self, running):
@@ -158,7 +172,7 @@ class TestGUIP:
         # round 1: every item except b (SWU 106 >= 106); round 2: b alone
         assert result.deleted_items == {A, B, C, D, E, F}
         assert result.rounds == 2
-        assert build_sil(db, eut, result.deleted_items) == {}
+        assert build_sil(db, eut, result.deleted_items) == [None] * len(db.sequences)
 
     def test_zero_threshold_deletes_nothing(self, running):
         db, eut = running
@@ -179,7 +193,7 @@ class TestGUIP:
             ((0, 50, 50),), (), ((1, 50, 0),), ()
         ]
         # the other sequences are untouched
-        assert list(revised) == [0, 1, 2]
+        assert len(revised) == 3 and None not in revised
         assert (revised[1], revised[2]) == (full[1], full[2])
 
     def test_emptied_sequences_are_dropped(self):
@@ -187,7 +201,7 @@ class TestGUIP:
             "z:1 -1 -2\na:90 -1 -2\n", "z 1\na 1\n"
         )
         result = guip_revise(db, eut, Threshold.from_text("0.5", 91))
-        assert list(build_sil(db, eut, result.deleted_items)) == [1]
+        assert [sil is None for sil in build_sil(db, eut, result.deleted_items)] == [True, False]
 
     @pytest.mark.parametrize("item", [1, 7, -1])
     def test_item_without_weight(self, item):
@@ -204,7 +218,8 @@ class TestGUIP:
         assert result.rounds <= len(db.names)
         surviving = {
             item
-            for sid, sil in build_sil(db, eut, result.deleted_items).items()
+            for sid, sil in enumerate(build_sil(db, eut, result.deleted_items))
+            if sil is not None
             for pos in range(1, len(db.sequences[sid].itemsets) + 1)
             for item, _, _ in sil_row(sil, pos)
         }
@@ -285,7 +300,7 @@ def _assert_batch_agrees_with_per_item(db, eut, config):
 
     deleted, _ = guip_revise(db, eut, Threshold.from_text(config.xi, db_utility(db, eut)))
     sils = build_sil(db, eut, deleted)
-    for sil in sils.values():
+    for sil in [sil for sil in sils if sil is not None]:
         for pos in range(1, sil[0] - 2):
             row = sil_row(sil, pos)
             # The entries after an instance's slot are the items above the

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,16 @@ class TestMine:
         assert report["stats"]["luip_pruned"] == 54
         assert report["stats"]["esr"] == "3.08%"
         assert report["memory_is_estimate"] is True
+
+    def test_report_keys(self, workdir, capsys):
+        assert main(_mine_args(workdir, "out.txt", "--max-len", "3", "--assert-bounds")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == [
+            "assert_bounds", "command", "db", "elapsed_ms", "enable_guip", "enable_luip", "eut",
+            "max_pattern_length", "memory_is_estimate", "out", "peak_memory_bytes",
+            "result_count", "stats", "xi",
+        ]
+        assert (report["max_pattern_length"], report["assert_bounds"]) == (3, True)
 
     def test_report_file(self, workdir):
         report_path = workdir / "report.jsonl"
@@ -377,6 +388,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert out.read_text(encoding="utf-8") == "a -1 c -1 #UTIL: 36\nb f -1 #UTIL: 27\n"
         json.loads(proc.stdout)  # the report line
+
+
+    def test_import_loads_no_dataclasses(self):
+        # Each run pays for what importing the CLI loads: dataclasses brings
+        # inspect, ast, dis and tokenize along, about 1 MiB and 10 ms on
+        # CPython 3.11.
+        script = "import sys, hucsp.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 # -h and --help are left out: argparse answers them by raising SystemExit(0)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -256,10 +258,30 @@ class TestGenerator:
         qitems = [q for seq in db.sequences for _, q in seq.iter_slots()]
         assert len({id(q) for q in qitems}) == len(set(qitems)) <= 10
 
-    @pytest.mark.parametrize("field", ["sequence_count", "distinct_items", "max_quantity"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "sequence_count",
+            "distinct_items",
+            "max_itemsets_per_seq",
+            "max_items_per_itemset",
+            "max_quantity",
+            "max_weight",
+        ],
+    )
     def test_rejects_non_positive_params(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
             GeneratorParams(**{**dict(sequence_count=1), field: 0})
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            GeneratorParams(sequence_count=1)._replace(**{field: 0})
+
+    def test_params_are_immutable_and_any_seed_goes(self):
+        params = GeneratorParams(sequence_count=3, seed=0)
+        assert params._replace(seed=-5).seed == -5
+        with pytest.raises(AttributeError):
+            params.seed = 2
+        with pytest.raises(AttributeError):
+            del params.sequence_count
 
 
 class TestValidate:
@@ -286,6 +308,22 @@ class TestValidate:
         assert validate(self._db((QItem(0, 1),), (QItem(1, 0),), (QItem(9, 1),)), eut) == [
             "sequence 0, position 2: quantity must be >= 1",
             "sequence 0, position 3: missing external utility for item 9",
+        ]
+
+    def test_reports_an_unclosed_last_itemset(self):
+        # A None closes each itemset, the last one too, as -1 does in the file.
+        _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
+        sequences = (
+            QSequence((QItem(0, 2), None, QItem(1, 3))),
+            QSequence((QItem(0, 1), QItem(2, 1))),
+            QSequence((QItem(0, 1), None)),
+            QSequence((QItem(1, 0),)),
+        )
+        assert validate(QSequenceDatabase(sequences, ("a", "b", "c")), eut) == [
+            "sequence 0, position 2: itemset not closed",
+            "sequence 1, position 1: itemset not closed",
+            "sequence 3, position 1: quantity must be >= 1",
+            "sequence 3, position 1: itemset not closed",
         ]
 
     def test_reports_an_empty_sequence(self):
@@ -578,19 +616,30 @@ class TestFlatSequences:
         size = sys.getsizeof(sequences) + sum(map(sys.getsizeof, (*sequences, *distinct)))
         assert size / len(qitems) < 18  # 16.8 B; a wrapper object per sequence made it 20.4
 
-    def test_parsed_size_per_qitem(self):
-        # Flat, a parsed q-item costs about 21 B here (its slot and its
-        # share of the tuple and QSequence); one tuple per itemset made it
-        # about 37 B.
+    def test_parsed_size_per_qitem(self, tmp_path):
+        # Flat, a parsed q-item costs about 18.6 B here (its slot and its
+        # share of the tuple); one tuple per itemset made it about 37 B.
+        # Traced in a fresh interpreter: tuples that this process freed
+        # earlier sit on CPython's free lists, and a parse here would take
+        # them back without tracemalloc seeing it.
         db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=5))
         count = sum(1 for seq in db.sequences for _ in seq.iter_slots())
-        texts = serialize_database(db, eut)
-        del db, eut
-        tracemalloc.start()
-        try:
-            parsed = parse_database(*texts)
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(parsed[0].sequences) == 2000
-        assert size / count < 24
+        for path, text in zip(("db", "eut"), serialize_database(db, eut)):
+            (tmp_path / path).write_text(text, encoding="utf-8")
+        script = (
+            "import sys, tracemalloc\n"
+            "from pathlib import Path\n"
+            "from hucsp.dataio import parse_database\n"
+            "texts = [Path(p).read_text(encoding='utf-8') for p in sys.argv[1:]]\n"
+            "tracemalloc.start()\n"
+            "db, eut = parse_database(*texts)\n"
+            "print(len(db.sequences), tracemalloc.get_traced_memory()[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hucsp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "db"), str(tmp_path / "eut")],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        sequences, size = map(int, proc.stdout.split())
+        assert sequences == 2000
+        assert size / count < 20

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +40,6 @@ from hucsp.indexes import (
     build_sil,
     extend_ichain_s,
     extension_utilizations,
-    ichain_pattern_utility,
 )
 from hucsp.miner import (
     BoundViolationError,
@@ -46,7 +47,6 @@ from hucsp.miner import (
     MiningStats,
     effective_search_rate,
     mine,
-    recursive_search,
 )
 from hucsp.oracle import enumerate_patterns, oracle_mine
 
@@ -167,6 +167,15 @@ class TestValidationAndAsserts:
         with pytest.raises(ValueError, match=r"invalid database: sequence 5: empty sequence"):
             mine(with_empty, eut, MiningConfig(xi="0.25"))
 
+    def test_unclosed_itemset_is_refused(self, running):
+        db, eut = running
+        unclosed = QSequence((QItem(A, 2), None, QItem(B, 3)))
+        with_unclosed = QSequenceDatabase((*db.sequences, unclosed), db.names)
+        with pytest.raises(
+            ValueError, match=r"^invalid database: sequence 5, position 2: itemset not closed$"
+        ):
+            mine(with_unclosed, eut, MiningConfig(xi="0.25"))
+
     def test_bad_threshold_text(self, running):
         db, eut = running
         with pytest.raises(ValueError, match="threshold"):
@@ -263,6 +272,32 @@ class TestValidationAndAsserts:
         )
         with pytest.raises(BoundViolationError, match="IEU grew along an extension: 4 > 3"):
             mine(db, eut, MiningConfig(xi="0", assert_bounds=True))
+
+
+class TestMiningConfig:
+    def test_is_immutable(self):
+        config = MiningConfig(xi="0.1")
+        with pytest.raises(AttributeError):
+            config.xi = "0.2"
+        with pytest.raises(AttributeError):
+            del config.enable_guip
+        with pytest.raises(AttributeError):
+            config.unknown = 1
+        assert config == MiningConfig("0.1", True, True, None, False)
+
+    def test_a_replaced_field_is_checked(self):
+        config = MiningConfig(xi="0.1", max_pattern_length=3)
+        assert config._replace(max_pattern_length=2) == MiningConfig(xi="0.1", max_pattern_length=2)
+        with pytest.raises(ValueError, match="max_pattern_length must be >= 1, got 0"):
+            config._replace(max_pattern_length=0)
+        with pytest.raises(ValueError, match="threshold out of range"):
+            config._replace(xi="2")
+
+    def test_copies_are_equal_configs(self):
+        config = MiningConfig(xi="1/3", enable_luip=False, max_pattern_length=4)
+        pickled = [pickle.loads(pickle.dumps(config, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (copy.copy(config), copy.deepcopy(config), *pickled):
+            assert twin == config and type(twin) is MiningConfig
 
 
 class TestOracleEquivalence:
@@ -389,21 +424,20 @@ class TestDeterminism:
 
     @given(
         st.one_of(q_databases(), databases_where_guip_leaves_a_gap()),
-        st.sampled_from(["0", "0.2", "0.4"]),
+        st.sampled_from(["0", "0.2", "0.4", "1"]),
     )
-    def test_search_ignores_sil_order(self, dbeut, xi):
-        """SILs in reverse sid order give the same seeds and the same search."""
+    def test_sils_are_indexed_by_sid(self, dbeut, xi):
+        """One SIL slot per sequence, None where GUIP emptied it; seeds name filled slots."""
         db, eut = dbeut
         threshold = Threshold.from_text(xi, db_utility(db, eut))
-        sils = build_sil(db, eut, guip_revise(db, eut, threshold).deleted_items)
-        views, outcomes = [], []
-        for order in (sils, dict(reversed(sils.items()))):
-            initial = build_initial_ichains(order)
-            views.append({item: chain.lists for item, chain in initial.items()})
-            seeds = ((chain, ichain_pattern_utility(chain)) for chain in initial.values())
-            outcomes.append(recursive_search(seeds, order, threshold, MiningConfig(xi=xi)))
-        assert views[0] == views[1]
-        assert outcomes[0] == outcomes[1]
+        deleted = guip_revise(db, eut, threshold).deleted_items
+        sils = build_sil(db, eut, deleted)
+        assert len(sils) == len(db.sequences)
+        emptied = [all(q is None or q.item in deleted for q in seq) for seq in db.sequences]
+        assert [sil is None for sil in sils] == emptied
+        for chain in build_initial_ichains(sils).values():
+            for sid, _ in chain.lists:
+                assert sils[sid] is not None
 
     def test_search_visit_order(self, running, monkeypatch):
         """Depth first, item-extensions before sequence-extensions, items ascending."""
