@@ -8,10 +8,12 @@ Run from the repository root after `pip install -e .`:
     python3 demos/running_example.py
 """
 
-from hucsp.bounds import ieu_i_extension, ieu_s_extension, swu_per_item
+from hucsp.bounds import swu_per_item
 from hucsp.core import (
     db_utility,
     ending_positions,
+    ieu_i_extension,
+    ieu_s_extension,
     instance_utility,
     pattern_utility,
     q_sequence_utility,

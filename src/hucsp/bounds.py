@@ -1,4 +1,4 @@
-"""Utility upper bounds, the pruning rules built on them, and their reference.
+"""The threshold, the utility upper bounds, and the pruning rules built on them.
 
 Two overestimates drive pruning.  SWU (sequence-weighted utilization) of an
 item sums the full utility of every sequence containing it; any pattern
@@ -16,7 +16,7 @@ item, summed over sequences.  IEU never increases along an extension path,
 so an extension below threshold is dropped with its whole subtree.  The
 scan indexes.extension_utilizations bounds all of a node's extensions at
 once, and one LUIP call per node and kind keeps those reaching the
-threshold; ieu_i/s_by_sequence, its reference, read the database alone.
+threshold; its reference, core.ieu_i/s_by_sequence, reads the database alone.
 
 Utilities are exact ints and the threshold an exact rational, so accept
 (utility >= threshold) and prune (bound < threshold) comparisons carry no
@@ -32,8 +32,7 @@ import sys
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
-from .core import ExternalUtilityTable, Item, Pattern, QSequenceDatabase, missing_weight, quoted
-from .core import _instance_utilities, check_pattern, remaining_utility_after
+from .core import ExternalUtilityTable, Item, QSequenceDatabase, missing_weight, quoted
 
 # ASCII digits with an optional decimal point, or a ratio of digit runs.
 # Fraction alone would also take a sign, underscores, digits of other
@@ -134,60 +133,6 @@ def guip_revise(
             return GuipResult(deleted, rounds)
         rounds += 1
         deleted |= doomed
-
-
-def _ieu_by_sequence(
-    grown: Pattern, db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item]
-) -> dict[int, int]:
-    """Per-sequence IEU of the extension grown, whose last item is the one placed.
-
-    Each instance of grown is a qualifying prefix instance plus that item;
-    its bound adds the utility after the item, deleted items left out.  A
-    pattern holding a deleted item has no instances: GUIP left it unindexed.
-    """
-    check_pattern(grown)
-    if any(item in deleted for itemset in grown for item in itemset):
-        return {}
-    out: dict[int, int] = {}
-    for sid, seq in enumerate(db.sequences):
-        if utilities := _instance_utilities(grown, seq, eut):
-            out[sid] = max(
-                utility + remaining_utility_after(seq, pos, grown[-1][-1], eut, deleted)
-                for pos, utility in utilities.items()
-            )
-    return out
-
-
-def ieu_i_by_sequence(
-    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
-    deleted: AbstractSet[Item] = frozenset(),
-) -> dict[int, int]:
-    """Per-sequence IEU of appending item, above the pattern's last, to its last itemset."""
-    if item <= pattern[-1][-1]:
-        raise ValueError("item-extension must append a larger item id")
-    return _ieu_by_sequence(pattern[:-1] + (pattern[-1] + (item,),), db, eut, deleted)
-
-
-def ieu_s_by_sequence(
-    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
-    deleted: AbstractSet[Item] = frozenset(),
-) -> dict[int, int]:
-    """Per-sequence IEU of appending {item} as a new itemset after the pattern."""
-    return _ieu_by_sequence(pattern + ((item,),), db, eut, deleted)
-
-
-def ieu_i_extension(
-    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
-    deleted: AbstractSet[Item] = frozenset(),
-) -> int:
-    return sum(ieu_i_by_sequence(pattern, item, db, eut, deleted).values())
-
-
-def ieu_s_extension(
-    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
-    deleted: AbstractSet[Item] = frozenset(),
-) -> int:
-    return sum(ieu_s_by_sequence(pattern, item, db, eut, deleted).values())
 
 
 def luip_admits(bounds: Mapping[Item, int], threshold: Threshold) -> list[Item]:

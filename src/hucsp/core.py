@@ -10,7 +10,8 @@ A QSequence is a tuple of its q-items in reading order, where None closes
 each itemset, as -1 does in the database file.  The mining path walks that
 tuple alone.  The nested form, one tuple per itemset, is what from_itemsets
 takes and what itemsets rebuilds on each request; the reference calculus
-below reads it at most once per call.
+below, down to the IEU of one extension that the scan in indexes must
+match, reads it at most once per call.
 
 Positions are 1-based throughout: itemset k of a sequence sits at position
 k.  Mining never rewrites a database: the items GUIP deletes are left out of
@@ -257,6 +258,60 @@ def pattern_utility(pattern: Pattern, db: QSequenceDatabase, eut: ExternalUtilit
         if utilities := _instance_utilities(pattern, seq, eut):
             total += max(utilities.values())
     return total
+
+
+def _ieu_by_sequence(
+    grown: Pattern, db: QSequenceDatabase, eut: ExternalUtilityTable, deleted: AbstractSet[Item]
+) -> dict[int, int]:
+    """Per-sequence IEU of the extension grown, whose last item is the one placed.
+
+    Each instance of grown is a qualifying prefix instance plus that item;
+    its bound adds the utility after the item, deleted items left out.  A
+    pattern holding a deleted item has no instances: GUIP left it unindexed.
+    """
+    check_pattern(grown)
+    if any(item in deleted for itemset in grown for item in itemset):
+        return {}
+    out: dict[int, int] = {}
+    for sid, seq in enumerate(db.sequences):
+        if utilities := _instance_utilities(grown, seq, eut):
+            out[sid] = max(
+                utility + remaining_utility_after(seq, pos, grown[-1][-1], eut, deleted)
+                for pos, utility in utilities.items()
+            )
+    return out
+
+
+def ieu_i_by_sequence(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> dict[int, int]:
+    """Per-sequence IEU of appending item, above the pattern's last, to its last itemset."""
+    if item <= pattern[-1][-1]:
+        raise ValueError("item-extension must append a larger item id")
+    return _ieu_by_sequence(pattern[:-1] + (pattern[-1] + (item,),), db, eut, deleted)
+
+
+def ieu_s_by_sequence(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> dict[int, int]:
+    """Per-sequence IEU of appending {item} as a new itemset after the pattern."""
+    return _ieu_by_sequence(pattern + ((item,),), db, eut, deleted)
+
+
+def ieu_i_extension(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> int:
+    return sum(ieu_i_by_sequence(pattern, item, db, eut, deleted).values())
+
+
+def ieu_s_extension(
+    pattern: Pattern, item: Item, db: QSequenceDatabase, eut: ExternalUtilityTable,
+    deleted: AbstractSet[Item] = frozenset(),
+) -> int:
+    return sum(ieu_s_by_sequence(pattern, item, db, eut, deleted).values())
 
 
 def contains(pattern: Pattern, seq: QSequence) -> bool:

@@ -25,6 +25,7 @@ All files are UTF-8 with LF line endings; serialization is byte-deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import sys
@@ -251,11 +252,15 @@ def generate_synthetic(params: GeneratorParams) -> tuple[QSequenceDatabase, Exte
 
 
 def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
-    """Structural checks; returns one message per violation, empty when clean."""
+    """Structural checks; returns one message per violation, empty when clean.
+    Ids, quantities and weights must be exactly int: no float, and no bool."""
     problems: list[str] = []
     for i, weight in enumerate(eut.weights):
-        if weight < 1:
+        if type(weight) is not int:
+            problems.append(f"item {i}: external utility must be an int, got {type(weight).__name__}")
+        elif weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
+    known = len(eut.weights)
     for sid, seq in enumerate(db.sequences):
         if not seq:
             problems.append(f"sequence {sid}: empty sequence")
@@ -268,12 +273,20 @@ def validate(db: QSequenceDatabase, eut: ExternalUtilityTable) -> list[str]:
                 pos, last = pos + 1, None
                 continue
             item, quantity = qitem
+            if type(item) is not int or type(quantity) is not int:
+                problems.append(
+                    f"sequence {sid}, position {pos}: item id and quantity must be ints, "
+                    f"got {type(item).__name__} and {type(quantity).__name__}"
+                )
+                # It fills its itemset but is ordered against neither neighbour.
+                last = -math.inf
+                continue
             if last is not None and item <= last:
                 problems.append(f"sequence {sid}, position {pos}: items not strictly ascending")
             last = item
             if quantity < 1:
                 problems.append(f"sequence {sid}, position {pos}: quantity must be >= 1")
-            if item < 0 or item >= len(eut.weights):
+            if item < 0 or item >= known:
                 problems.append(
                     f"sequence {sid}, position {pos}: missing external utility for item {item}"
                 )

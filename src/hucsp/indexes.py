@@ -135,32 +135,15 @@ class InstanceList(NamedTuple):
 _new_list = partial(tuple.__new__, InstanceList)
 
 
-class IChain:
-    """All instances of one pattern, flat (see the module docstring).
+class IChain(NamedTuple):
+    """All instances of one pattern, flat (see the module docstring): singles
+    holds (sid, pos, slot, utility) for each sequence with exactly one
+    instance; groups one (sid, pos, slot, utility, pos, slot, utility, ...)
+    per sequence with two or more."""
 
-    singles: (sid, pos, slot, utility) for each sequence holding exactly one
-    instance; groups: one (sid, pos, slot, utility, pos, slot, utility, ...)
-    per sequence holding two or more.  Chains compare by these three fields.
-    """
-
-    __slots__ = ("pattern", "singles", "groups", "__weakref__")
-
-    def __init__(
-        self, pattern: Pattern, singles: tuple[int, ...], groups: tuple[tuple[int, ...], ...]
-    ) -> None:
-        self.pattern = pattern
-        self.singles = singles
-        self.groups = groups
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IChain):
-            return NotImplemented
-        return (self.pattern, self.singles, self.groups) == (
-            other.pattern, other.singles, other.groups,
-        )
-
-    def __repr__(self) -> str:
-        return f"IChain(pattern={self.pattern!r}, singles={self.singles!r}, groups={self.groups!r})"
+    pattern: Pattern
+    singles: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
 
     @property
     def lists(self) -> tuple[InstanceList, ...]:
@@ -251,7 +234,7 @@ def extension_utilizations(
     """IEU of every item-extension and sequence-extension of the prefix.
 
     One pass over the chain and SIL computes all sibling bounds at once;
-    agrees item-for-item with bounds.ieu_i_extension / ieu_s_extension.
+    agrees item-for-item with core.ieu_i_extension / ieu_s_extension.
     The key sets are exactly the candidate extension items.  At an instance
     (pos, slot, utility), they are row pos + 1 and the entries after the
     slot in row pos, walked backwards from utility plus the rest after row

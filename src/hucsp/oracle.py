@@ -26,6 +26,7 @@ from .core import (
     db_utility,
     sort_results,
 )
+from .dataio import validate
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -137,5 +138,7 @@ def oracle_mine(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ResultSet:
     """Reference answer: same contract as the miner, none of its machinery."""
+    if problems := validate(db, eut):
+        raise ValueError("invalid database: " + "; ".join(problems))
     threshold = Threshold.from_text(xi, db_utility(db, eut))
     return select_high_utility(enumerate_patterns(db, eut, max_len=max_len, cap=cap), threshold)

@@ -11,18 +11,15 @@ import time
 
 import pytest
 from conftest import A, B, C, D, E, F
-from hucsp.bounds import (
-    Threshold,
-    ieu_i_by_sequence,
-    ieu_i_extension,
-    ieu_s_by_sequence,
-    ieu_s_extension,
-    swu_per_item,
-)
+from hucsp.bounds import Threshold, swu_per_item
 from hucsp.cli import main
 from hucsp.core import (
     db_utility,
     ending_positions,
+    ieu_i_by_sequence,
+    ieu_i_extension,
+    ieu_s_by_sequence,
+    ieu_s_extension,
     instance_utility,
     pattern_utility,
     pattern_utility_in_sequence,

@@ -23,16 +23,7 @@ from conftest import (
     q_databases,
     wide_databases,
 )
-from hucsp.bounds import (
-    Threshold,
-    guip_revise,
-    ieu_i_by_sequence,
-    ieu_i_extension,
-    ieu_s_by_sequence,
-    ieu_s_extension,
-    luip_admits,
-    swu_per_item,
-)
+from hucsp.bounds import Threshold, guip_revise, luip_admits, swu_per_item
 from hucsp.core import (
     AbsentItemError,
     ExternalUtilityTable,
@@ -40,6 +31,10 @@ from hucsp.core import (
     QSequence,
     QSequenceDatabase,
     db_utility,
+    ieu_i_by_sequence,
+    ieu_i_extension,
+    ieu_s_by_sequence,
+    ieu_s_extension,
 )
 from hucsp.dataio import parse_database
 from hucsp.indexes import (

@@ -326,6 +326,25 @@ class TestValidate:
             "sequence 3, position 1: itemset not closed",
         ]
 
+    def test_reports_values_that_are_not_ints(self):
+        # Exactly int: a float, a bool or a str is refused wherever it stands.
+        eut = ExternalUtilityTable((1, 1, 1))
+        assert validate(self._db((QItem(0, 2.5), QItem(1.0, 1), QItem(True, 1))), eut) == [
+            "sequence 0, position 1: item id and quantity must be ints, got int and float",
+            "sequence 0, position 1: item id and quantity must be ints, got float and int",
+            "sequence 0, position 1: item id and quantity must be ints, got bool and int",
+        ]
+        # Such a q-item fills its itemset but is ordered against neither neighbour.
+        assert validate(self._db((QItem("b", 1),), (QItem(2, 1), QItem("a", 1), QItem(1, 1))), eut) == [
+            "sequence 0, position 1: item id and quantity must be ints, got str and int",
+            "sequence 0, position 2: item id and quantity must be ints, got str and int",
+        ]
+        assert validate(self._db((QItem(0, 1),)), ExternalUtilityTable((1.0, True, 0))) == [
+            "item 0: external utility must be an int, got float",
+            "item 1: external utility must be an int, got bool",
+            "item 2: external utility must be >= 1, got 0",
+        ]
+
     def test_reports_an_empty_sequence(self):
         # The parser refuses the line "-2" that serialize_database would write for it.
         _, eut = parse_utility_table("a 1\nb 1\nc 1\n")
@@ -481,42 +500,61 @@ class TestParserFuzz:
 
 
 def _nested_validate(db, eut):
-    """validate as it read the nested form, one loop per itemset: the reference for the flat walk."""
+    """validate as it read the nested form, one loop per itemset: the reference for the flat walk.
+
+    The nested view drops an unclosed tail, so the tail is read as one more itemset.
+    """
     problems = []
     for i, weight in enumerate(eut.weights):
-        if weight < 1:
+        if type(weight) is not int:
+            problems.append(f"item {i}: external utility must be an int, got {type(weight).__name__}")
+        elif weight < 1:
             problems.append(f"item {i}: external utility must be >= 1, got {weight}")
     for sid, seq in enumerate(db.sequences):
-        if not seq.itemsets:
+        itemsets = seq.itemsets
+        tail = seq[sum(len(itemset) + 1 for itemset in itemsets) :]
+        if not itemsets and not tail:
             problems.append(f"sequence {sid}: empty sequence")
-        for pos, itemset in enumerate(seq.itemsets, start=1):
+        for pos, itemset in enumerate((*itemsets, tail) if tail else itemsets, start=1):
             if not itemset:
                 problems.append(f"sequence {sid}, position {pos}: empty itemset")
-            last = None
-            for qitem in itemset:
-                if last is not None and qitem.item <= last:
+            ints = [type(q.item) is int and type(q.quantity) is int for q in itemset]
+            for k, qitem in enumerate(itemset):
+                if not ints[k]:
+                    problems.append(
+                        f"sequence {sid}, position {pos}: item id and quantity must be ints, "
+                        f"got {type(qitem.item).__name__} and {type(qitem.quantity).__name__}"
+                    )
+                    continue
+                if k and ints[k - 1] and qitem.item <= itemset[k - 1].item:
                     problems.append(f"sequence {sid}, position {pos}: items not strictly ascending")
-                last = qitem.item
                 if qitem.quantity < 1:
                     problems.append(f"sequence {sid}, position {pos}: quantity must be >= 1")
                 if qitem.item < 0 or qitem.item >= len(eut.weights):
                     problems.append(
                         f"sequence {sid}, position {pos}: missing external utility for item {qitem.item}"
                     )
+        if tail:
+            problems.append(f"sequence {sid}, position {len(itemsets) + 1}: itemset not closed")
     return problems
 
 
-# Databases that break validate's rules: empty itemsets and sequences,
-# negative and unknown ids, ids out of order or repeated, zero quantities
-# and weights.
-_RAW_SEQUENCES = st.lists(
-    st.lists(st.builds(QItem, st.integers(-2, 4), st.integers(0, 2)), max_size=3), max_size=4
-).map(QSequence.from_itemsets)
+# Databases that break validate's rules: empty itemsets and sequences, an
+# unclosed last itemset, negative and unknown ids, ids out of order or
+# repeated, zero quantities and weights, and ids, quantities and weights
+# that are not ints.
+_NOT_INTS = st.sampled_from((1.0, True))
+_RAW_QITEMS = st.builds(QItem, st.integers(-2, 4) | _NOT_INTS, st.integers(0, 2) | _NOT_INTS)
+_RAW_SEQUENCES = st.builds(
+    lambda itemsets, tail: QSequence((*QSequence.from_itemsets(itemsets), *tail)),
+    st.lists(st.lists(_RAW_QITEMS, max_size=3), max_size=4),
+    st.lists(_RAW_QITEMS, max_size=2),
+)
 _RAW_DATABASES = st.tuples(
     st.lists(_RAW_SEQUENCES, min_size=1, max_size=4).map(
         lambda seqs: QSequenceDatabase(tuple(seqs), ("a", "b", "c"))
     ),
-    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    st.lists(st.integers(0, 3) | _NOT_INTS, min_size=1, max_size=3).map(
         lambda weights: ExternalUtilityTable(tuple(weights))
     ),
 )
@@ -532,11 +570,15 @@ class TestFlatSequences:
         for seq in db.sequences:
             itemsets = seq.itemsets
             twin = QSequence.from_itemsets(itemsets)
-            assert twin == seq and hash(twin) == hash(seq)
+            # The nested view holds the closed itemsets; an unclosed tail is left out.
+            tail = seq[len(twin) :]
+            assert twin + tail == seq and None not in tail
+            if not tail:
+                assert hash(twin) == hash(seq)
             assert QSequence(tuple(seq)) == seq and type(seq) is QSequence
             assert seq.count(None) == len(itemsets)
             assert list(seq.iter_slots()) == [
-                (pos, q) for pos, itemset in enumerate(itemsets, start=1) for q in itemset
+                (pos, q) for pos, itemset in enumerate((*itemsets, tail), start=1) for q in itemset
             ]
 
     @given(st.one_of(_VALID_DATABASES, _RAW_DATABASES))

@@ -603,7 +603,8 @@ class TestChainLayout:
 
 
 class TestModuleBoundary:
-    """Only indexes reads the SIL and chain layouts; bounds computes IEU without them."""
+    """Only indexes reads the SIL and chain layouts, bounds imports nothing from
+    indexes, and no module imports another's private names."""
 
     @staticmethod
     def _modules():
@@ -629,3 +630,15 @@ class TestModuleBoundary:
             if isinstance(node, ast.Attribute) and node.attr in {"singles", "groups", "lists"}
         ]
         assert reads == []
+
+    def test_no_module_imports_a_private_name(self):
+        imports = [
+            (name, node.lineno, alias.name)
+            for name, tree in sorted(self._modules().items())
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "hucsp")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert imports == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
-import weakref
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from hucsp.core import (
 )
 from hucsp.dataio import format_pattern, parse_database
 from hucsp.indexes import (
+    IChain,
     build_initial_ichains,
     build_sil,
     extend_ichain_s,
@@ -153,6 +154,9 @@ class TestMaxPatternLength:
             MiningConfig(xi="0.1", max_pattern_length=cap)
 
 
+_NOT_INTS = "sequence 0, position 1: item id and quantity must be ints, got "
+
+
 class TestValidationAndAsserts:
     def test_invalid_database_is_refused(self, running):
         from hucsp.core import ExternalUtilityTable
@@ -175,6 +179,29 @@ class TestValidationAndAsserts:
             ValueError, match=r"^invalid database: sequence 5, position 2: itemset not closed$"
         ):
             mine(with_unclosed, eut, MiningConfig(xi="0.25"))
+
+    @pytest.mark.parametrize(
+        "sequence, weights, message",
+        [
+            # A float quantity would make a float utility.
+            ((QItem(0, 2.5), None), (2,), _NOT_INTS + "int and float"),
+            # A float id would make a pattern that no result line can name.
+            ((QItem(0.0, 2), None), (2,), _NOT_INTS + "float and int"),
+            ((QItem(True, 2), None), (2, 1), _NOT_INTS + "bool and int"),
+            # A str id would fail an ordering compare with a TypeError.
+            ((QItem("a", 2), None), (2,), _NOT_INTS + "str and int"),
+            ((QItem(0, 2), None), (1.5,), "item 0: external utility must be an int, got float"),
+            ((QItem(0, 2), None), (True,), "item 0: external utility must be an int, got bool"),
+        ],
+        ids=["float-quantity", "float-id", "bool-id", "str-id", "float-weight", "bool-weight"],
+    )
+    def test_values_that_are_not_ints_are_refused(self, sequence, weights, message):
+        db = QSequenceDatabase((QSequence(sequence),), ("a", "b"))
+        eut = ExternalUtilityTable(weights)
+        with pytest.raises(ValueError, match=f"^invalid database: {re.escape(message)}$"):
+            mine(db, eut, MiningConfig(xi="0"))
+        with pytest.raises(ValueError, match=f"^invalid database: {re.escape(message)}$"):
+            oracle_mine(db, eut, "0")
 
     def test_bad_threshold_text(self, running):
         db, eut = running
@@ -404,22 +431,34 @@ class TestDeterminism:
 
     def test_seed_chains_are_built_as_the_search_reaches_them(self, running, monkeypatch):
         """Only the seed being expanded and the one being built are alive at once."""
+        import hucsp.indexes as indexes_module
         import hucsp.miner as miner_module
 
         db, eut = running
-        seen = []
+        seeds = 0
+        alive: set[int] = set()
         most_alive = 0
         utility_of = miner_module.ichain_pattern_utility
 
+        # A tuple cannot be weakly referenced; a chain records its own free.
+        class Counted(IChain):
+            __slots__ = ()
+
+            def __del__(self):
+                alive.discard(id(self))
+
         def recording(chain):
-            nonlocal most_alive
-            seen.append(weakref.ref(chain))
-            most_alive = max(most_alive, sum(ref() is not None for ref in seen))
+            nonlocal seeds, most_alive
+            assert type(chain) is Counted
+            seeds += 1
+            alive.add(id(chain))
+            most_alive = max(most_alive, len(alive))
             return utility_of(chain)
 
+        monkeypatch.setattr(indexes_module, "IChain", Counted)
         monkeypatch.setattr(miner_module, "ichain_pattern_utility", recording)
         mine(db, eut, MiningConfig(xi="0.25"))
-        assert len(seen) == 6
+        assert seeds == 6
         assert most_alive <= 2
 
     @given(

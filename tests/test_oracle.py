@@ -9,7 +9,15 @@ from hypothesis import given, settings
 
 from conftest import A, B, C, D, E, F, q_databases
 from hucsp.bounds import Threshold
-from hucsp.core import contains, pattern_length, pattern_utility
+from hucsp.core import (
+    ExternalUtilityTable,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
+    contains,
+    pattern_length,
+    pattern_utility,
+)
 from hucsp.dataio import parse_database
 from hucsp.oracle import (
     UniverseTooLargeError,
@@ -146,6 +154,26 @@ class TestOracleMine:
         db, eut = running
         with pytest.raises(ValueError):
             oracle_mine(db, eut, "1.5")
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            # Enumeration reads the itemsets view, which leaves out an unclosed tail.
+            ((QItem(0, 2), None, QItem(1, 3)), "position 2: itemset not closed"),
+            # Enumeration would return the non-pattern ((1, 0),).
+            ((QItem(1, 1), QItem(0, 1), None), "position 1: items not strictly ascending"),
+        ],
+        ids=["unclosed", "unordered"],
+    )
+    def test_refuses_an_invalid_database_as_the_miner_does(self, sequence, message):
+        from hucsp.miner import MiningConfig, mine
+
+        db = QSequenceDatabase((QSequence(sequence),), ("a", "b"))
+        eut = ExternalUtilityTable((1, 1))
+        with pytest.raises(ValueError, match=f"^invalid database: sequence 0, {message}$"):
+            oracle_mine(db, eut, "0")
+        with pytest.raises(ValueError, match=f"^invalid database: sequence 0, {message}$"):
+            mine(db, eut, MiningConfig(xi="0"))
 
 
 class TestAgainstDirectCalculus:
