@@ -9,8 +9,11 @@ Run from the repository root after `pip install -e .`:
 """
 
 from hucsp.bounds import swu_per_item
-from hucsp.core import (
-    db_utility,
+from hucsp.core import db_utility
+from hucsp.dataio import format_pattern, parse_database, serialize_results
+from hucsp.indexes import build_initial_ichains, build_sil, sil_to_text
+from hucsp.miner import MiningConfig, effective_search_rate, mine
+from hucsp.oracle import (
     ending_positions,
     ieu_i_extension,
     ieu_s_extension,
@@ -19,9 +22,6 @@ from hucsp.core import (
     q_sequence_utility,
     remaining_utility_after,
 )
-from hucsp.dataio import format_pattern, parse_database, serialize_results
-from hucsp.indexes import build_initial_ichains, build_sil, sil_to_text
-from hucsp.miner import MiningConfig, effective_search_rate, mine
 
 DB_TEXT = """\
 b:2 f:4 -1 a:2 e:2 -1 c:2 e:1 -1 -2

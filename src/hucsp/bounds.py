@@ -16,7 +16,7 @@ item, summed over sequences.  IEU never increases along an extension path,
 so an extension below threshold is dropped with its whole subtree.  The
 scan indexes.extension_utilizations bounds all of a node's extensions at
 once, and one LUIP call per node and kind keeps those reaching the
-threshold; its reference, core.ieu_i/s_by_sequence, reads the database alone.
+threshold; its reference, oracle.ieu_i/s_by_sequence, reads the database alone.
 
 Utilities are exact ints and the threshold an exact rational, so accept
 (utility >= threshold) and prune (bound < threshold) comparisons carry no

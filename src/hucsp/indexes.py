@@ -234,7 +234,7 @@ def extension_utilizations(
     """IEU of every item-extension and sequence-extension of the prefix.
 
     One pass over the chain and SIL computes all sibling bounds at once;
-    agrees item-for-item with core.ieu_i_extension / ieu_s_extension.
+    agrees item-for-item with oracle.ieu_i_extension / ieu_s_extension.
     The key sets are exactly the candidate extension items.  At an instance
     (pos, slot, utility), they are row pos + 1 and the entries after the
     slot in row pos, walked backwards from utility plus the rest after row

@@ -13,22 +13,24 @@ import pytest
 from conftest import A, B, C, D, E, F
 from hucsp.bounds import Threshold, swu_per_item
 from hucsp.cli import main
-from hucsp.core import (
-    db_utility,
+from hucsp.core import db_utility
+from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
+from hucsp.indexes import build_sil, sil_to_text
+from hucsp.miner import BoundViolationError, MiningConfig, mine
+from hucsp.oracle import (
     ending_positions,
+    enumerate_patterns,
     ieu_i_by_sequence,
     ieu_i_extension,
     ieu_s_by_sequence,
     ieu_s_extension,
     instance_utility,
+    oracle_mine,
     pattern_utility,
     pattern_utility_in_sequence,
     q_sequence_utility,
+    select_high_utility,
 )
-from hucsp.dataio import GeneratorParams, generate_synthetic, parse_database
-from hucsp.indexes import build_sil, sil_to_text
-from hucsp.miner import BoundViolationError, MiningConfig, mine
-from hucsp.oracle import enumerate_patterns, oracle_mine, select_high_utility
 
 XIS = ("0", "0.05", "0.25", "0.5", "1.0")
 
@@ -70,7 +72,7 @@ def test_criterion_02_utility_calculus_goldens(running):
         pattern_utility(((A,), (C,)), db, eut) == 36,
         ending_positions(((A,), (C,)), s5) == (2, 3),
     ]
-    from hucsp.core import remaining_utility_after
+    from hucsp.oracle import remaining_utility_after
 
     checks.append(remaining_utility_after(s5, 2, C, eut) == 7)
     _verdict(

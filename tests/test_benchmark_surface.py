@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import hucsp.core
+import hucsp.oracle
 from conftest import RUNNING_DB_TEXT, RUNNING_EUT_TEXT
+from hucsp.dataio import parse_database
 
 ROOT = Path(__file__).resolve().parents[1]
 MODES = ("plain", "trace", "memory")
@@ -94,3 +97,16 @@ def test_every_declared_metric_is_produced(repetitions):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for kind, names in produced.items():
         assert {metric["name"] for metric in declared[kind]} <= names, kind
+
+
+def test_the_correctness_gate_passes_the_worked_example():
+    # gate.py imports pattern_utility from hucsp.core, which forwards it
+    # to the reference calculus in hucsp.oracle.
+    gate = _perfbench_module("gate")
+    assert hucsp.core.pattern_utility is hucsp.oracle.pattern_utility
+    db, eut = parse_database(RUNNING_DB_TEXT, RUNNING_EUT_TEXT)
+    results = "a -1 c -1 #UTIL: 36\nb f -1 #UTIL: 27\n"
+    assert gate.check_results(results, db, eut, "0.25", 2, seed=0) == []
+    assert gate.check_oracle(RUNNING_DB_TEXT, RUNNING_EUT_TEXT, "0.25") == (2, [])
+    # A wrong utility is caught, so the check above recomputed each one.
+    assert gate.check_results(results.replace("36", "37"), db, eut, "0.25", 2, seed=0) != []

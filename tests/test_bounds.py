@@ -31,10 +31,6 @@ from hucsp.core import (
     QSequence,
     QSequenceDatabase,
     db_utility,
-    ieu_i_by_sequence,
-    ieu_i_extension,
-    ieu_s_by_sequence,
-    ieu_s_extension,
 )
 from hucsp.dataio import parse_database
 from hucsp.indexes import (
@@ -46,6 +42,7 @@ from hucsp.indexes import (
     sil_row,
 )
 from hucsp.miner import MiningConfig, mine
+from hucsp.oracle import ieu_i_by_sequence, ieu_i_extension, ieu_s_by_sequence, ieu_s_extension
 
 
 class TestThreshold:
@@ -140,7 +137,7 @@ class TestSWU:
 
     @given(q_databases())
     def test_never_below_any_pattern_utility_of_the_item(self, dbeut):
-        from hucsp.core import pattern_utility, q_sequence_utility
+        from hucsp.oracle import pattern_utility, q_sequence_utility
 
         db, eut = dbeut
         swu = swu_per_item(db, eut)
@@ -245,7 +242,7 @@ class TestIEU:
         assert ieu_s_by_sequence(((A,),), C, db, eut, {E}) == {0: 12, 1: 16, 4: 22}
 
     def test_ieu_dominates_extended_utility(self, indexed):
-        from hucsp.core import pattern_utility
+        from hucsp.oracle import pattern_utility
 
         db, eut, sils, initial = indexed
         for item, chain in initial.items():

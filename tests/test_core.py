@@ -19,26 +19,28 @@ from conftest import A, B, C, E, F, RUNNING_DB_TEXT, RUNNING_EUT_TEXT, q_databas
 from hucsp.core import (
     AbsentItemError,
     ExternalUtilityTable,
-    NoInstanceError,
     QItem,
     QSequence,
     QSequenceDatabase,
     collector_paused,
-    contains,
     db_utility,
+    pattern_length,
+    pattern_sort_key,
+    sort_results,
+)
+from hucsp.miner import MiningConfig, mine
+from hucsp.oracle import (
+    NoInstanceError,
+    contains,
     ending_positions,
     instance_utility,
     item_utility,
     itemset_utility,
-    pattern_length,
-    pattern_sort_key,
     pattern_utility,
     pattern_utility_in_sequence,
     q_sequence_utility,
     remaining_utility_after,
-    sort_results,
 )
-from hucsp.miner import MiningConfig, mine
 
 
 class TestItemUtility:

@@ -31,10 +31,6 @@ from hucsp.core import (
     QSequence,
     QSequenceDatabase,
     db_utility,
-    ending_positions,
-    instance_utility,
-    pattern_utility,
-    q_sequence_utility,
 )
 from hucsp.dataio import GeneratorParams, generate_synthetic
 from hucsp.indexes import (
@@ -49,6 +45,7 @@ from hucsp.indexes import (
     sil_row,
     sil_to_text,
 )
+from hucsp.oracle import ending_positions, instance_utility, pattern_utility, q_sequence_utility
 
 
 def _elements(chain, sils):

@@ -1,12 +1,20 @@
-"""Brute-force enumeration: goldens, the work guard, and cross-validation."""
+"""Brute-force enumeration: goldens, the work guard, cross-validation, and the
+reference path kept off the mine path."""
 
 from __future__ import annotations
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import hucsp.core as core
+import hucsp.oracle as oracle
 from conftest import A, B, C, D, E, F, q_databases
 from hucsp.bounds import Threshold
 from hucsp.core import (
@@ -14,17 +22,19 @@ from hucsp.core import (
     QItem,
     QSequence,
     QSequenceDatabase,
-    contains,
+    db_utility,
     pattern_length,
-    pattern_utility,
 )
 from hucsp.dataio import parse_database
 from hucsp.oracle import (
     UniverseTooLargeError,
+    contains,
     copied_itemsets,
     enumerate_patterns,
+    ieu_s_extension,
     instance_count,
     oracle_mine,
+    pattern_utility,
     select_high_utility,
 )
 
@@ -202,3 +212,44 @@ class TestAgainstDirectCalculus:
             if previous is not None:
                 assert set(current) <= set(previous)
             previous = current
+
+    def test_calculus_refuses_an_unclosed_last_itemset(self):
+        # The itemsets view leaves out an unclosed tail: unchecked, both
+        # calls would return 0 where the database utility is 5.
+        db = QSequenceDatabase((QSequence((QItem(0, 2), None, QItem(1, 3))),), ("a", "b"))
+        eut = ExternalUtilityTable((1, 1))
+        assert db_utility(db, eut) == 5
+        with pytest.raises(ValueError, match="last itemset is not closed"):
+            pattern_utility(((1,),), db, eut)
+        with pytest.raises(ValueError, match="last itemset is not closed"):
+            ieu_s_extension(((0,),), 1, db, eut)
+
+
+class TestOffTheMinePath:
+    def test_importing_the_miner_loads_no_oracle(self):
+        script = "import sys, hucsp.miner\nprint('hucsp.oracle' in sys.modules)\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_core_imports_no_oracle_at_module_level(self):
+        # core forwards one name to oracle from inside a function; an import
+        # that runs with the module would load the reference path with mine().
+        tree = ast.parse(Path(core.__file__).read_text("utf-8"))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        names = [
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in in_functions
+            for name in (getattr(node, "module", None) or "", *(alias.name for alias in node.names))
+        ]
+        assert "gc" in names
+        assert not [name for name in names if "oracle" in name]
