@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from .core import collector_paused
+from .core import collector_paused, pattern_sort_key
 from .dataio import (
     GeneratorParams,
     ParseError,
@@ -32,7 +32,6 @@ from .dataio import (
     serialize_results,
 )
 from .miner import BoundViolationError, MiningConfig, MiningStats, mine
-from .oracle import DEFAULT_ENUMERATION_CAP, UniverseTooLargeError, oracle_mine
 
 
 class _UsageError(Exception):
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle-cap",
         type=_positive_int,
-        default=DEFAULT_ENUMERATION_CAP,
+        default=None,
         help="refuse enumeration that would copy more itemsets than this",
     )
     p.set_defaults(func=cmd_check)
@@ -199,16 +198,24 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # Only check runs the reference path, so no other command loads it.
+    from .oracle import DEFAULT_ENUMERATION_CAP, UniverseTooLargeError, oracle_mine
+
+    cap = args.oracle_cap or DEFAULT_ENUMERATION_CAP
     config = MiningConfig(xi=args.xi, max_pattern_length=args.max_len)
     db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
     results, _ = mine(db, eut, config)
-    expected = oracle_mine(db, eut, args.xi, max_len=args.max_len, cap=args.oracle_cap)
+    try:
+        expected = oracle_mine(db, eut, args.xi, max_len=args.max_len, cap=cap)
+    except UniverseTooLargeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     if results == expected:
         print(f"check ok: {len(results)} patterns agree")
         return 0
     got = dict(results)
     want = dict(expected)
-    for pattern in sorted(set(got) | set(want), key=lambda p: (len(p), p)):
+    for pattern in sorted(set(got) | set(want), key=pattern_sort_key):
         if got.get(pattern) != want.get(pattern):
             print(
                 f"mismatch: {format_pattern(pattern, db.names)} "
@@ -269,9 +276,6 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolationError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return 2
-    except UniverseTooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

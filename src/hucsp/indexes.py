@@ -24,8 +24,9 @@ single-item chain is built from its item's run of occurrences, int32
 (sid, slot) pairs, only when it is looked up.  Chains for extended
 patterns are built from the parent chain plus the SIL without touching the
 database again: one pass over a parent chain builds the chains of all
-requested siblings of one kind and their utilities, and one scan of it
-bounds the IEU of all its extensions.  No other module reads either layout.
+requested siblings of one kind, and one scan of it bounds the IEU of all
+its extensions.  Every chain's utility, seed or extended, is read off the
+chain itself.  No other module reads either layout.
 """
 
 from __future__ import annotations
@@ -291,17 +292,15 @@ def _extend_ichains(
     One pass over the prefix chain serves every item.  An instance extends
     when item occurs at ending position + step, after the instance's slot
     when step is 0; the new instance ends at that entry and its utility
-    grows by that occurrence.  A child's utility is the sum of its
-    per-sequence maxima, kept as the chains are built.  An item occurs at
-    most once in a row, so a single instance has at most one child per
-    item: it goes straight to that child's singles and total.  A group
-    keeps per-item maxima; a group that leaves a child one instance adds
-    it to that child's singles.  Results follow the order of items.
+    grows by that occurrence.  An item occurs at most once in a row, so a
+    single instance has at most one child per item: it goes straight to
+    that child's singles.  A group that leaves a child one instance adds it
+    to that child's singles too.  Each child's utility is then read off its
+    chain by ichain_pattern_utility.  Results follow the order of items.
     """
     wanted = set(items)
     singles: dict[Item, list[int]] = {item: [] for item in wanted}
     groups: dict[Item, list[tuple[int, ...]]] = {item: [] for item in wanted}
-    totals = dict.fromkeys(wanted, 0)
     it = iter(prefix.singles)
     for sid, epos, slot, utility in zip(it, it, it, it):
         sil = sils[sid]
@@ -309,42 +308,32 @@ def _extend_ichains(
         at = sil[pos] if step else slot + 1
         for item, gained in sil[at : sil[pos + 1]]:
             if item in wanted:
-                value = utility + gained
-                singles[item] += (sid, pos, at, value)
-                totals[item] += value
+                singles[item] += (sid, pos, at, utility + gained)
             at += 1
     for group in prefix.groups:
         it = iter(group)
         sid = next(it)
         sil = sils[sid]
         grown: dict[Item, list[int]] = {}
-        best: dict[Item, int] = {}
         for epos, slot, utility in zip(it, it, it):
             pos = epos + step
             at = sil[pos] if step else slot + 1
             for item, gained in sil[at : sil[pos + 1]]:
                 if item in wanted:
-                    value = utility + gained
                     found = grown.get(item)
                     if found is None:
-                        grown[item] = [sid, pos, at, value]
-                        best[item] = value
+                        grown[item] = [sid, pos, at, utility + gained]
                     else:
-                        found += (pos, at, value)
-                        if value > best[item]:
-                            best[item] = value
+                        found += (pos, at, utility + gained)
                 at += 1
         for item, found in grown.items():
             if len(found) == 4:
                 singles[item] += found
             else:
                 groups[item].append(tuple(found))
-            totals[item] += best[item]
     # Each item's lists go as its chain is made, so the two are not all held at once.
-    return [
-        (IChain(grow(item), tuple(singles.pop(item)), tuple(groups.pop(item))), totals[item])
-        for item in items
-    ]
+    chains = (IChain(grow(item), tuple(singles.pop(item)), tuple(groups.pop(item))) for item in items)
+    return [(chain, ichain_pattern_utility(chain)) for chain in chains]
 
 
 def extend_ichain_i(
@@ -375,9 +364,8 @@ def extend_ichain_s(
 def ichain_pattern_utility(chain: IChain) -> int:
     """Pattern utility from the chain alone: per-sequence maxima, summed.
 
-    The search needs it for the single-item chains only; extended chains
-    carry their utility out of the pass that builds them.  Every fourth
-    int of singles is a whole sequence's utility, summed without a
-    maximum; a group's utilities are every third int after its sid.
+    The one rule for every chain, seed or extended.  Every fourth int of
+    singles is a whole sequence's utility, summed without a maximum; a
+    group's utilities are every third int after its sid.
     """
     return sum(chain.singles[3::4]) + sum([max(group[3::3]) for group in chain.groups])

@@ -81,11 +81,16 @@ def remaining_utility_after(
     return total
 
 
-def _instances(pattern: Pattern, seq: QSequence) -> Iterator[tuple[int, tuple[QItemset, ...]]]:
-    """(ending position, host itemsets) of each instance of a checked pattern, ascending."""
+def _itemsets(seq: QSequence) -> tuple[QItemset, ...]:
+    """seq.itemsets, refusing an unclosed last itemset, whose q-items that view leaves out."""
     if seq and seq[-1] is not None:
         raise ValueError("sequence's last itemset is not closed")
-    m, itemsets = len(pattern), seq.itemsets
+    return seq.itemsets
+
+
+def _instances(pattern: Pattern, seq: QSequence) -> Iterator[tuple[int, tuple[QItemset, ...]]]:
+    """(ending position, host itemsets) of each instance of a checked pattern, ascending."""
+    m, itemsets = len(pattern), _itemsets(seq)
     for end in range(m, len(itemsets) + 1):
         window = itemsets[end - m : end]
         if all(set(items) <= {q.item for q in host} for items, host in zip(pattern, window)):
@@ -228,7 +233,7 @@ def _windows(db: QSequenceDatabase, longest: int | None = None):
     """(occurrences, length) of each window of at most `longest` consecutive
     itemsets; sizes s1..sw give the product of (2^si - 1) occurrences."""
     for seq in db.sequences:
-        factors = [2 ** len(itemset) - 1 for itemset in seq.itemsets]
+        factors = [2 ** len(itemset) - 1 for itemset in _itemsets(seq)]
         for start in range(len(factors)):
             product = 1
             for length, factor in enumerate(factors[start:][:longest], start=1):
@@ -286,7 +291,7 @@ def enumerate_patterns(
     universe: dict[Pattern, int] = {}
     for seq in db.sequences:
         per_seq: dict[Pattern, int] = {}
-        choices = [_itemset_choices(itemset, eut) for itemset in seq.itemsets]
+        choices = [_itemset_choices(itemset, eut) for itemset in _itemsets(seq)]
         for start in range(len(choices)):
             frontier: list[tuple[Pattern, int, int]] = [((), 0, 0)]
             for step_choices in choices[start:]:

@@ -298,6 +298,20 @@ class TestCheck:
         assert main(args) == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_mismatches_follow_the_results_file_order(self, workdir, monkeypatch, capsys):
+        # At xi 0 every pattern is a result.  <{a b}> has one itemset, as <{b}>
+        # has, but two items, so the canonical order puts it after <{b}>.
+        assert main(_mine_args(workdir, "out.txt", "--xi", "0")) == 0
+        capsys.readouterr()
+        written = (workdir / "out.txt").read_text(encoding="utf-8").splitlines()
+        monkeypatch.setattr(cli, "mine", lambda db, eut, config: ([], None))
+        assert main(["check", str(workdir / "db.txt"), str(workdir / "eut.txt"), "--xi", "0"]) == 2
+        reported = [
+            line.removeprefix("mismatch: ").split(" miner=None reference=")
+            for line in capsys.readouterr().err.splitlines()
+        ]
+        assert [f"{p} #UTIL: {u}" for p, u in reported] == written
+
 
 class TestGen:
     def test_writes_parseable_deterministic_files(self, tmp_path):
@@ -401,6 +415,16 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_leaves_out_the_reference_path(self):
+        # Only check needs oracle; mine, gen and bench never compile or load it.
+        script = "import sys, hucsp.cli\nprint('hucsp.oracle' in sys.modules)\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 # -h and --help are left out: argparse answers them by raising SystemExit(0)

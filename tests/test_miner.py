@@ -34,7 +34,7 @@ from hucsp.core import (
     db_utility,
     pattern_length,
 )
-from hucsp.dataio import format_pattern, parse_database
+from hucsp.dataio import GeneratorParams, format_pattern, generate_synthetic, parse_database
 from hucsp.indexes import (
     IChain,
     build_initial_ichains,
@@ -110,6 +110,26 @@ class TestRunningExample:
             if previous is not None:
                 assert set(current) <= set(previous)
             previous = current
+
+
+class TestWorkCounters:
+    """The search's work on mid-size generated data, pinned: a change that
+    keeps the results but explores or prunes differently shows here."""
+
+    @pytest.mark.parametrize(
+        "params, xi, expected",
+        [
+            (GeneratorParams(sequence_count=2000, distinct_items=60, seed=7), "0.005",
+             MiningStats(69414, 57, 0, 0, 67525)),
+            # One GUIP deletion, in one round.
+            (GeneratorParams(sequence_count=2000, seed=7), "0.11", MiningStats(14565, 0, 1, 1, 14466)),
+        ],
+        ids=["search", "guip"],
+    )
+    def test_counters(self, params, xi, expected):
+        db, eut = generate_synthetic(params)
+        _, stats = mine(db, eut, MiningConfig(xi=xi))
+        assert stats == expected
 
 
 class TestToggles:

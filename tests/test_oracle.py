@@ -224,6 +224,18 @@ class TestAgainstDirectCalculus:
         with pytest.raises(ValueError, match="last itemset is not closed"):
             ieu_s_extension(((0,),), 1, db, eut)
 
+    def test_enumeration_refuses_an_unclosed_last_itemset(self):
+        # Unchecked, enumeration would find <{a}> alone, worth 2, and count
+        # one occurrence, where the database utility is 5.
+        db = QSequenceDatabase((QSequence((QItem(0, 2), None, QItem(1, 3))),), ("a", "b"))
+        eut = ExternalUtilityTable((1, 1))
+        with pytest.raises(ValueError, match="last itemset is not closed"):
+            enumerate_patterns(db, eut)
+        with pytest.raises(ValueError, match="last itemset is not closed"):
+            instance_count(db)
+        with pytest.raises(ValueError, match="last itemset is not closed"):
+            copied_itemsets(db, 10)
+
 
 class TestOffTheMinePath:
     def test_importing_the_miner_loads_no_oracle(self):
