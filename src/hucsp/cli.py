@@ -199,17 +199,24 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     # Only check runs the reference path, so no other command loads it.
-    from .oracle import DEFAULT_ENUMERATION_CAP, UniverseTooLargeError, oracle_mine
+    from .oracle import (
+        DEFAULT_ENUMERATION_CAP,
+        UniverseTooLargeError,
+        check_enumeration_cap,
+        oracle_mine,
+    )
 
     cap = args.oracle_cap or DEFAULT_ENUMERATION_CAP
     config = MiningConfig(xi=args.xi, max_pattern_length=args.max_len)
     db, eut = parse_database(_read_text(args.db, "database"), _read_text(args.eut, "external utility"))
-    results, _ = mine(db, eut, config)
     try:
-        expected = oracle_mine(db, eut, args.xi, max_len=args.max_len, cap=cap)
+        # The reference checks again; checking first keeps a refused check from mining.
+        check_enumeration_cap(db, cap, args.max_len)
     except UniverseTooLargeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    results, _ = mine(db, eut, config)
+    expected = oracle_mine(db, eut, args.xi, max_len=args.max_len, cap=cap)
     if results == expected:
         print(f"check ok: {len(results)} patterns agree")
         return 0

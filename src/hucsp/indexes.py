@@ -20,8 +20,10 @@ slot and utility to one flat tuple, singles; a sequence holding several gets
 a flat tuple of its own in groups, its sid and then each instance's three
 ints, positions ascending.  No sid is in both fields.  Sequences follow no
 set order within a field; only IChain.lists sorts them by sid.  A
-single-item chain is built from its item's run of occurrences, int32
-(sid, slot) pairs, only when it is looked up.  Chains for extended
+single-item chain is built from its item's run of occurrences, an
+array of sids and an array of slots, each in the narrowest unsigned type
+that holds the last sid or the longest SIL's last slot, only when it is
+looked up.  Chains for extended
 patterns are built from the parent chain plus the SIL without touching the
 database again: one pass over a parent chain builds the chains of all
 requested siblings of one kind, and one scan of it bounds the IEU of all
@@ -169,8 +171,10 @@ class IChain(NamedTuple):
 class _SeedChains(Mapping[Item, IChain]):
     """Single-item chains, each built from its item's run when looked up.
 
-    A run holds every occurrence of one item as flat sid, slot pairs in
-    an int32 array, in sid and slot order.  The position is the row whose
+    A run holds every occurrence of one item, in sid and slot order, as
+    two arrays, the sids and the slots, each of the narrowest unsigned
+    type that holds the largest value it can get (see
+    build_initial_ichains).  The position is the row whose
     start offsets bracket the slot, found by bisection: row starts ascend,
     and a gap's empty row repeats the next row's start, so the rightmost
     start at or below the slot is its row's.
@@ -180,7 +184,7 @@ class _SeedChains(Mapping[Item, IChain]):
 
     __slots__ = ("_runs", "_sils")
 
-    def __init__(self, runs: dict[Item, array], sils: Sequence[SIL | None]) -> None:
+    def __init__(self, runs: dict[Item, tuple[array, array]], sils: Sequence[SIL | None]) -> None:
         self._runs = runs
         self._sils = sils
 
@@ -190,8 +194,7 @@ class _SeedChains(Mapping[Item, IChain]):
         # The sequence being read: its sid, then each instance's three ints.
         found: list[int] = []
         last, sils = None, self._sils
-        values = iter(self._runs[item])
-        for sid, slot in zip(values, values):
+        for sid, slot in zip(*self._runs[item]):
             if sid != last:
                 if len(found) == 4:
                     singles += found
@@ -214,18 +217,30 @@ class _SeedChains(Mapping[Item, IChain]):
         return len(self._runs)
 
 
+def _narrowest(largest: int) -> str:
+    """Typecode of the narrowest unsigned array that holds 0 to largest."""
+    return next(code for code in "BHIQ" if largest < 1 << 8 * array(code).itemsize)
+
+
 def build_initial_ichains(sils: Sequence[SIL | None]) -> Mapping[Item, IChain]:
     """IChains of every single-item pattern in the indexed database, in item order.
 
     The SILs are walked in sid order, each one's entries in slot order, so
-    every run comes out in sid and slot order.  Each chain is built when it
-    is looked up (see _SeedChains).
+    every run comes out in sid and slot order.  Its sids array is as narrow
+    as the last sid allows, its slots array as the longest SIL's last slot
+    allows.  Each chain is built when it is looked up (see _SeedChains).
     """
-    runs: defaultdict[Item, array] = defaultdict(partial(array, "i"))
+    sid_code = _narrowest(len(sils) - 1)
+    slot_code = _narrowest(max(map(len, filter(None, sils)), default=1) - 1)
+    runs: defaultdict[Item, tuple[array, array]] = defaultdict(
+        lambda: (array(sid_code), array(slot_code))
+    )
     for sid, sil in enumerate(sils):
         if sil is not None:
             for slot in range(sil[0], sil[sil[0] - 1]):
-                runs[sil[slot][0]].fromlist([sid, slot])
+                sids, slots = runs[sil[slot][0]]
+                sids.append(sid)
+                slots.append(slot)
     return _SeedChains({item: runs[item] for item in sorted(runs)}, sils)
 
 

@@ -98,19 +98,20 @@ def recursive_search(
     One explicit stack, so depth is not bound by the call stack, pops nodes
     in recursion order (item-extensions before sequence-extensions, items
     ascending).  The next seed is pulled only when the stack is empty, so
-    a lazy seed iterable never has more than one seed chain in use.  A
-    popped node is recorded if it qualifies, then expanded unless at the
-    length cap: one luip_admits call and one pass over its chain per
-    extension kind.  Returns (qualifying pattern -> utility, candidates,
-    LUIP-pruned extensions).
+    a lazy seed iterable never has more than one seed chain in use, and
+    none below the seed's own node.  A popped node is recorded if it
+    qualifies, then expanded unless at the length cap: one luip_admits
+    call and one pass over its chain per extension kind.  Returns
+    (qualifying pattern -> utility, candidates, LUIP-pruned extensions).
     """
     found: dict[Pattern, int] = {}
     candidates, luip_pruned = 0, 0
     # (chain, its utility, the IEU it was admitted under; None for a seed)
     stack: list[tuple[IChain, int, int | None]] = []
-    for seed, seed_utility in seeds:
+    # A seed takes the names its popped node takes, so the next pop drops it.
+    for prefix, utility in seeds:
         candidates += 1
-        stack.append((seed, seed_utility, None))
+        stack.append((prefix, utility, None))
         while stack:
             prefix, utility, prefix_bound = stack.pop()
             if threshold.admits(utility):
@@ -151,6 +152,11 @@ def recursive_search(
     return found, candidates, luip_pruned
 
 
+def _seed(chain: IChain) -> tuple[IChain, int]:
+    # A function, not a generator expression, whose frame would hold the last chain.
+    return chain, ichain_pattern_utility(chain)
+
+
 @collector_paused()
 def mine(
     db: QSequenceDatabase, eut: ExternalUtilityTable, config: MiningConfig
@@ -167,10 +173,8 @@ def mine(
     else:
         deleted, rounds = frozenset(), 0
     sils = build_sil(db, eut, deleted)
-    # Each seed chain is built as the search reaches it and dropped with its subtree.
-    seeds = (
-        (chain, ichain_pattern_utility(chain)) for chain in build_initial_ichains(sils).values()
-    )
+    # Each seed chain is built as the search reaches it and dropped once it is expanded.
+    seeds = map(_seed, build_initial_ichains(sils).values())
     found, candidates, luip_pruned = recursive_search(seeds, sils, threshold, config)
     stats = MiningStats(
         candidates=candidates,

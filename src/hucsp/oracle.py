@@ -261,6 +261,12 @@ def copied_itemsets(db: QSequenceDatabase, stop_above: int, max_len: int | None 
     return total
 
 
+def check_enumeration_cap(db: QSequenceDatabase, cap: int, max_len: int | None = None) -> None:
+    """Raise UniverseTooLargeError if enumeration would copy more than cap itemsets."""
+    if copied_itemsets(db, cap, max_len) > cap:
+        raise UniverseTooLargeError(f"enumeration would copy more itemsets than the cap of {cap}")
+
+
 def _itemset_choices(
     itemset: QItemset, eut: ExternalUtilityTable
 ) -> list[tuple[tuple[int, ...], int, int]]:
@@ -286,8 +292,7 @@ def enumerate_patterns(
     takes what MiningConfig.max_pattern_length takes.
     """
     check_length_cap(max_len, "max_len")
-    if copied_itemsets(db, cap, max_len) > cap:
-        raise UniverseTooLargeError(f"enumeration would copy more itemsets than the cap of {cap}")
+    check_enumeration_cap(db, cap, max_len)
     universe: dict[Pattern, int] = {}
     for seq in db.sequences:
         per_seq: dict[Pattern, int] = {}

@@ -285,7 +285,12 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "invalid threshold 'abc'" in err and "nope.txt" not in err
 
-    def test_oracle_cap_exits_3(self, workdir, capsys):
+    def test_oracle_cap_exits_3(self, workdir, monkeypatch, capsys):
+        def refused(db, eut, config):
+            raise AssertionError("mine() ran although the oracle cap refuses the check")
+
+        # The cap is checked before mining, so a refused check costs no mine().
+        monkeypatch.setattr(cli, "mine", refused)
         args = [
             "check",
             str(workdir / "db.txt"),
@@ -296,7 +301,9 @@ class TestCheck:
             "10",
         ]
         assert main(args) == 3
-        assert "cap" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: enumeration would copy more itemsets than the cap of 10\n"
+        )
 
     def test_mismatches_follow_the_results_file_order(self, workdir, monkeypatch, capsys):
         # At xi 0 every pattern is a result.  <{a b}> has one itemset, as <{b}>

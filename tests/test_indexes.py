@@ -334,8 +334,8 @@ class TestInitialIChains:
     def test_memory_per_surviving_occurrence(self):
         # Python 3.11.7: runs of (sid, position, slot) Python ints in a list
         # per item took about 26 bytes per occurrence here, int32 arrays of
-        # (rank, slot) pairs with a tuple of the sids about 9.8, and int32
-        # arrays of (sid, slot) pairs alone about 9.2.
+        # (sid, slot) pairs about 9.2, and a uint16 sids array beside a uint8
+        # slots array, the widths these sids and SILs need, about 4.4.
         db, eut = generate_synthetic(GeneratorParams(sequence_count=2000, seed=7))
         sils = build_sil(db, eut)
         assert None not in sils
@@ -347,7 +347,40 @@ class TestInitialIChains:
         finally:
             tracemalloc.stop()
         assert len(initial) == len(eut.weights)
-        assert peak / occurrences < 9.5
+        assert peak / occurrences < 5.0
+
+    @pytest.mark.parametrize(
+        ("last_sid", "last_slot", "sid_bytes", "slot_bytes"),
+        [(255, 255, 1, 1), (256, 256, 2, 2), (65_535, 65_535, 2, 2), (65_536, 65_536, 4, 4)],
+    )
+    def test_run_widths_at_their_boundaries(self, last_sid, last_slot, sid_bytes, slot_bytes):
+        # Itemset j holds items j % 5 and 5 + j % 7, and a last itemset one
+        # to four items from 12 on, so the SIL's last slot, 4n + 6 + r for n
+        # two-item itemsets and r in the last, can be any int from 7 on.
+        n = (last_slot - 7) // 4
+        r = last_slot - 6 - 4 * n
+        itemsets = [(QItem(j % 5, 1 + j % 3), QItem(5 + j % 7, 1)) for j in range(n)]
+        itemsets.append(tuple(QItem(12 + k, 2) for k in range(r)))
+        short = QSequence.from_itemsets([(QItem(0, 1), QItem(5, 3))])
+        sequences = (QSequence.from_itemsets(itemsets), short)
+        db = QSequenceDatabase(sequences, tuple(f"i{k}" for k in range(16)))
+        eut = ExternalUtilityTable(tuple(1 + k % 4 for k in range(16)))
+        # Sequences without a SIL ahead push the real ones' sids up.
+        padding = last_sid - 1
+        sils = [None] * padding + build_sil(db, eut)
+        assert len(sils) - 1 == last_sid and len(sils[padding]) - 1 == last_slot
+        initial = build_initial_ichains(sils)
+        assert {(sids.itemsize, slots.itemsize) for sids, slots in initial._runs.values()} == {
+            (sid_bytes, slot_bytes)
+        }
+        for item, chain in initial.items():
+            # _elements checks every slot against the SIL.
+            found = _elements(chain, sils)
+            assert {sid - padding: [pos for pos, _ in pairs] for sid, pairs in found.items()} == {
+                sid: list(positions)
+                for sid, seq in enumerate(db.sequences)
+                if (positions := ending_positions(((item,),), seq))
+            }
 
     def test_memory_per_extended_instance(self):
         # Python 3.11.7: an (position, slot, utility) tuple per instance in a

@@ -481,6 +481,39 @@ class TestDeterminism:
         assert seeds == 6
         assert most_alive <= 2
 
+    def test_no_seed_chain_is_alive_below_its_node(self, running, monkeypatch):
+        """A node longer than one item is scanned with no seed chain alive; a seed with one."""
+        import hucsp.indexes as indexes_module
+        import hucsp.miner as miner_module
+
+        db, eut = running
+        alive: set[int] = set()
+        # Seeds alive at each scan, keyed by whether the node is a seed.
+        scanned: dict[bool, list[int]] = {True: [], False: []}
+        utility_of = miner_module.ichain_pattern_utility
+        scan = miner_module.extension_utilizations
+
+        class Counted(IChain):
+            __slots__ = ()
+
+            def __del__(self):
+                alive.discard(id(self))
+
+        def recording(chain):
+            alive.add(id(chain))
+            return utility_of(chain)
+
+        def scanning(prefix, sils):
+            scanned[pattern_length(prefix.pattern) == 1].append(len(alive))
+            return scan(prefix, sils)
+
+        monkeypatch.setattr(indexes_module, "IChain", Counted)
+        monkeypatch.setattr(miner_module, "ichain_pattern_utility", recording)
+        monkeypatch.setattr(miner_module, "extension_utilizations", scanning)
+        mine(db, eut, MiningConfig(xi="0.25"))
+        assert scanned[True] == [1] * 6
+        assert scanned[False] and set(scanned[False]) == {0}
+
     @given(
         st.one_of(q_databases(), databases_where_guip_leaves_a_gap()),
         st.sampled_from(["0", "0.2", "0.4", "1"]),
